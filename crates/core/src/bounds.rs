@@ -1,6 +1,6 @@
 //! Reusable landmark bound machinery: certified Δ bounds for arbitrary
-//! pairs, and the resident-row landmark indexes behind the pipeline's
-//! pre-filter and the streaming query path.
+//! pairs, and the resident-row landmark indexes behind the streaming
+//! query path.
 //!
 //! The budgeted pipeline *verifies* a pair's Δ by owning one endpoint's
 //! full distance rows. But the `2l` landmark rows the landmark selectors
@@ -20,14 +20,9 @@
 //! recommender) at almost zero cost, falling back to the budgeted pipeline
 //! only for the uncertain ones.
 //!
-//! Two consumers share this module:
-//!
-//! * the pipeline's landmark **pre-filter** ([`all_pairs_below`]), which
-//!   drops candidates whose every pair is certified below the scan floor
-//!   before any of their rows is materialized, and
-//! * the streaming **query index**, which captures
-//!   [`resident_landmark_indexes`] at epoch publish so point queries can
-//!   be bracketed after the oracle is gone.
+//! The streaming **query index** captures [`resident_landmark_indexes`]
+//! at epoch publish so point queries can be bracketed after the oracle is
+//! gone.
 
 use crate::exact::ConvergingPair;
 use crate::oracle::{Snapshot, SnapshotOracle};
@@ -82,32 +77,6 @@ pub fn resident_landmark_indexes(
         LandmarkIndex::from_rows(landmarks.clone(), rows1),
         LandmarkIndex::from_rows(landmarks, rows2),
     ))
-}
-
-/// Whether **every** pair of `u` is certified to scan below `floor`:
-/// `UB1(u, v) − LB2(u, v) < floor` for all `v ≠ u`, or `LB2(u, v) = ∞`
-/// (which proves `d2(u, v) = ∞`, hence Δ = 0 under the scan's convention).
-/// When this holds, no pair of `u` can survive the final cut, so its rows
-/// can only prove what is already proven.
-///
-/// `ub1`/`lb2` are caller-owned scratch (resized and overwritten) so a
-/// sweep over many candidates reuses two allocations.
-pub fn all_pairs_below(
-    index1: &LandmarkIndex,
-    index2: &LandmarkIndex,
-    u: NodeId,
-    floor: u32,
-    ub1: &mut Vec<u32>,
-    lb2: &mut Vec<u32>,
-) -> bool {
-    index1.accumulate_upper_bounds(u, ub1);
-    index2.accumulate_lower_bounds(u, lb2);
-    ub1.iter()
-        .zip(lb2.iter())
-        .enumerate()
-        .all(|(v, (&ub, &lb))| {
-            v == u.index() || lb == INF || (ub != INF && ub.saturating_sub(lb) < floor)
-        })
 }
 
 /// Landmark bounds over a snapshot pair.
@@ -376,7 +345,10 @@ mod tests {
     #[test]
     fn resident_indexes_capture_paid_rows_for_free() {
         let (g1, g2) = graphs();
-        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
+        // Pin the cache on: the capture reads resident rows, which a
+        // `CP_ROW_CACHE=0` environment would otherwise evict.
+        let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 8)
+            .with_row_cache(crate::oracle::RowCacheBudget::Unbounded);
         oracle.rows(NodeId(0)).unwrap();
         oracle.rows(NodeId(5)).unwrap();
         let spent = oracle.ledger().total();
@@ -402,32 +374,5 @@ mod tests {
         let (g1, g2) = graphs();
         let oracle = SnapshotOracle::with_budget(&g1, &g2, 8);
         assert!(resident_landmark_indexes(&oracle, 16).is_none());
-    }
-
-    #[test]
-    fn all_pairs_below_matches_bruteforce() {
-        let (g1, g2) = graphs();
-        let l: Vec<NodeId> = [0u32, 9].iter().map(|&i| NodeId(i)).collect();
-        let i1 = LandmarkIndex::build(&g1, &l);
-        let i2 = LandmarkIndex::build(&g2, &l);
-        let (mut ub1, mut lb2) = (Vec::new(), Vec::new());
-        for floor in [1u32, 2, 5] {
-            for u in 0..10u32 {
-                let u = NodeId(u);
-                let brute = (0..10u32).map(NodeId).all(|v| {
-                    if v == u {
-                        return true;
-                    }
-                    let ub = i1.upper_bound(u, v);
-                    let lb = i2.lower_bound(u, v);
-                    lb == INF || (ub != INF && ub.saturating_sub(lb) < floor)
-                });
-                assert_eq!(
-                    all_pairs_below(&i1, &i2, u, floor, &mut ub1, &mut lb2),
-                    brute,
-                    "u={u:?} floor={floor}"
-                );
-            }
-        }
     }
 }

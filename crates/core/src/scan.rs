@@ -316,10 +316,10 @@ mod tests {
         for i in 0..n {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             let base = x % 40_000;
-            if x % 17 == 0 {
+            if x.is_multiple_of(17) {
                 d1.push(INF);
                 d2.push(x % 5);
-            } else if x % 23 == 0 {
+            } else if x.is_multiple_of(23) {
                 d1.push(base);
                 d2.push(INF);
             } else {

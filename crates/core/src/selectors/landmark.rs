@@ -67,7 +67,7 @@ pub fn landmark_change_scores(
     let used = oracle.prefetch_node_rows(landmarks).usable;
     // Served landmarks are paid, but a bounded row cache may have evicted
     // their bytes by now; `read_rows` recomputes such rows (bit-identical,
-    // free of charge) into the scratch.
+    // free of charge) into the scratch, which counts them for the oracle.
     let mut scratch = RowScratch::new();
     for &w in &used {
         let (d1, d2) = oracle.read_rows(w, &mut scratch);
@@ -77,6 +77,7 @@ pub fn landmark_change_scores(
             max[i] = max[i].max(delta);
         }
     }
+    oracle.absorb_recomputed(scratch.take_recomputed());
     LandmarkScores {
         sum,
         max,

@@ -307,11 +307,7 @@ fn prefetch_batch_widths_are_kernel_invariant() {
         assert_eq!(ks.msbfs_rows, wave_rows, "width {width}");
         assert_eq!(ks.repair_rows, width as u64, "width {width}");
         assert_eq!(
-            ks.msbfs_rows
-                + ks.bfs_rows
-                + ks.dijkstra_rows
-                + ks.repair_rows
-                + auto.rows_prefiltered(),
+            ks.msbfs_rows + ks.bfs_rows + ks.dijkstra_rows + ks.repair_rows,
             auto.ledger().total(),
             "width {width}: row counters must add up to the ledger"
         );
@@ -415,7 +411,7 @@ fn injected_pool_is_reused_across_prefetch_batches() {
                 "batch {batch}: the pool respawned workers"
             );
         }
-        assert!(stats.batches_run >= u64::from(batch) + 1);
+        assert!(stats.batches_run > u64::from(batch));
     }
     assert_eq!(scalar.ledger(), auto.ledger());
 }

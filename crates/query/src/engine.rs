@@ -2,9 +2,9 @@
 
 use crate::answer::Answer;
 use crate::traverse::Cursor;
-use cp_core::bounds::all_pairs_below;
 use cp_core::exact::{sort_pairs, ConvergingPair};
 use cp_core::oracle::Snapshot;
+use cp_graph::landmark_index::LandmarkIndex;
 use cp_graph::{distance_decrease, NodeId, INF};
 use cp_stream::{StreamReader, StreamSnapshot};
 use std::sync::Arc;
@@ -17,8 +17,7 @@ pub struct SeedTopK {
     pub pairs: Vec<ConvergingPair>,
     /// Whether `pairs` provably equals the exact per-seed top-k. `false`
     /// means the published rows could not certify the answer (seed not
-    /// resident and not landmark-prunable, or a truncated row whose
-    /// suppressed entries might hide a qualifying pair).
+    /// resident and not landmark-prunable).
     pub complete: bool,
 }
 
@@ -108,11 +107,6 @@ impl EpochView {
     /// resident rows first (either endpoint — the graphs are undirected),
     /// landmark triangle bounds otherwise. `(INF, INF)` is *certified
     /// disconnected*; `(0, INF)` is "nothing known".
-    ///
-    /// Truncated resident rows follow the `insert_truncated` contract:
-    /// finite entries are exact, suppressed ([`INF`]) entries prove
-    /// nothing and fall through to the landmark bounds — never to a bogus
-    /// "unreachable".
     fn dist_interval(&self, which: Snapshot, u: NodeId, v: NodeId) -> (u32, u32) {
         if u == v {
             return (0, 0);
@@ -120,9 +114,8 @@ impl EpochView {
         let q = &self.snap.query;
         for (a, b) in [(u, v), (v, u)] {
             if let Some(row) = q.row(which, a) {
-                if let Some(d) = row.exact(b) {
-                    return (d, d);
-                }
+                let d = row[b.index()];
+                return (d, d);
             }
         }
         match q.landmarks() {
@@ -192,10 +185,7 @@ impl EpochView {
     /// landmark-certified pruning for non-resident seeds.
     ///
     /// * Seed resident in both snapshots: Δs are computed exactly from the
-    ///   captured rows. Truncated rows stay sound — a suppressed entry's
-    ///   pair provably has `Δ <` the review floor, so the answer is
-    ///   `complete` whenever the floor is ≤ 1, or the k-th returned Δ
-    ///   reaches the floor; otherwise `complete: false`.
+    ///   captured rows, and the answer is `complete`.
     /// * Seed not resident: if the landmark bounds certify every pair of
     ///   the seed below Δ = 1, the empty answer is complete; otherwise the
     ///   epoch cannot serve the seed (`complete: false`).
@@ -211,46 +201,30 @@ impl EpochView {
         let (Some(r1), Some(r2)) = (r1, r2) else {
             // Landmark-certified pruning: every pair of `u` certified
             // below Δ = 1 proves the seed has no converging pair at all.
-            let complete = match q.landmarks() {
-                Some((i1, i2)) => {
-                    let (mut ub1, mut lb2) = (Vec::new(), Vec::new());
-                    all_pairs_below(i1, i2, u, 1, &mut ub1, &mut lb2)
-                }
-                None => false,
-            };
+            let complete = q
+                .landmarks()
+                .is_some_and(|(i1, i2)| no_pair_converges(i1, i2, u));
             return SeedTopK {
                 pairs: Vec::new(),
                 complete,
             };
         };
-        let mut pairs = Vec::new();
-        let mut suppressed = false;
-        for v in 0..q.num_nodes() {
-            let v = NodeId::new(v);
-            if v == u {
-                continue;
-            }
-            match (r1.exact(v), r2.exact(v)) {
-                (Some(d1), Some(d2)) => {
-                    if let Some(delta) = distance_decrease(d1, d2) {
-                        if delta >= 1 {
-                            pairs.push(ConvergingPair::new(u, v, delta));
-                        }
-                    }
-                }
-                // A suppressed entry's Δ is provably below the review
-                // floor (the truncation contract) — excluded, but it caps
-                // what the answer can certify.
-                _ => suppressed = true,
-            }
-        }
+        let mut pairs: Vec<ConvergingPair> = r1
+            .iter()
+            .zip(r2)
+            .enumerate()
+            .filter(|&(v, _)| v != u.index())
+            .filter_map(|(v, (&d1, &d2))| {
+                let delta = distance_decrease(d1, d2)?;
+                (delta >= 1).then(|| ConvergingPair::new(u, NodeId::new(v), delta))
+            })
+            .collect();
         sort_pairs(&mut pairs);
         pairs.truncate(k);
-        let floor = q.floor();
-        let complete = !suppressed
-            || floor <= 1
-            || (pairs.len() == k && pairs.last().is_some_and(|p| p.delta >= floor));
-        SeedTopK { pairs, complete }
+        SeedTopK {
+            pairs,
+            complete: true,
+        }
     }
 
     /// Starts a composable traversal over the epoch's graph at `start`
@@ -258,5 +232,52 @@ impl EpochView {
     /// `view.from(u).step().filter(pred).collect()`.
     pub fn from(&self, start: NodeId) -> Cursor {
         Cursor::rooted(Arc::clone(&self.snap), start)
+    }
+}
+
+/// Whether the landmark bounds certify that no pair of `u` converges: for
+/// every `v ≠ u`, `UB1(u, v) ≤ LB2(u, v)` (so `Δ(u, v) ≤ 0`), or
+/// `LB2(u, v) = ∞` (which proves `d2(u, v) = ∞`, hence Δ = 0 under the
+/// pipeline's convention).
+fn no_pair_converges(index1: &LandmarkIndex, index2: &LandmarkIndex, u: NodeId) -> bool {
+    let (mut ub1, mut lb2) = (Vec::new(), Vec::new());
+    index1.accumulate_upper_bounds(u, &mut ub1);
+    index2.accumulate_lower_bounds(u, &mut lb2);
+    ub1.iter()
+        .zip(&lb2)
+        .enumerate()
+        .all(|(v, (&ub, &lb))| v == u.index() || lb == INF || (ub != INF && ub <= lb))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cp_graph::builder::graph_from_edges;
+
+    #[test]
+    fn no_pair_converges_matches_pairwise_bounds() {
+        // Path 0..=9; the second snapshot adds the chord (0, 9).
+        let base: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
+        let g1 = graph_from_edges(10, &base);
+        let mut all = base;
+        all.push((0, 9));
+        let g2 = graph_from_edges(10, &all);
+        let l = [NodeId(0), NodeId(9)];
+        let (i1, i2) = (LandmarkIndex::build(&g1, &l), LandmarkIndex::build(&g2, &l));
+        let mut certified = 0;
+        for u in (0..10u32).map(NodeId) {
+            let pairwise = (0..10u32).map(NodeId).all(|v| {
+                let (ub, lb) = (i1.upper_bound(u, v), i2.lower_bound(u, v));
+                v == u || lb == INF || (ub != INF && ub <= lb)
+            });
+            assert_eq!(no_pair_converges(&i1, &i2, u), pairwise, "u={u:?}");
+            certified += usize::from(pairwise);
+        }
+        // The chord shortens some pair of every node, so nothing is
+        // certified here. On identical snapshots a landmark's own bounds
+        // are exact, so the landmarks certify themselves.
+        assert_eq!(certified, 0);
+        let i2_same = LandmarkIndex::build(&g1, &l);
+        assert!(l.iter().all(|&w| no_pair_converges(&i1, &i2_same, w)));
     }
 }

@@ -17,7 +17,7 @@ use cp_graph::{NodeId, TemporalGraph};
 use cp_query::{QueryEngine, SeedTopK};
 use cp_stream::{StreamConfig, StreamEngine, StreamError, StreamSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const READERS: usize = 8;
 const REVIEWS: usize = 5;
@@ -73,7 +73,11 @@ fn read_once(q: &QueryEngine, n: usize, salt: usize, queries: &AtomicU64) -> u32
 
 /// 8 reader threads issue mixed point/top-k/traversal queries nonstop
 /// while the engine advances 5 reviews; afterwards a query-free twin run
-/// proves the readers cost the ledger nothing.
+/// proves the readers cost the ledger nothing. The interleaving is forced,
+/// not left to the scheduler: every reader has queried once before the
+/// first review starts, and after each publish the writer waits until
+/// more queries have completed, so reads overlap every review however
+/// fast reviews run.
 #[test]
 fn readers_observe_consistent_epochs_and_spend_nothing() {
     let t = barabasi_albert(70, 2, &mut seeded_rng(11));
@@ -87,16 +91,18 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
     let q = QueryEngine::new(engine.reader());
     let stop = AtomicBool::new(false);
     let queries = AtomicU64::new(0);
+    let started = Barrier::new(READERS + 1);
 
     let mut epochs: Vec<Arc<StreamSnapshot>> = Vec::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for r in 0..READERS {
             let q = q.clone();
-            let (stop, queries) = (&stop, &queries);
-            handles.push(s.spawn(move |_| {
-                let mut last = 0u32;
-                let mut iters = 0usize;
+            let (stop, queries, started) = (&stop, &queries, &started);
+            handles.push(s.spawn(move || {
+                let mut last = read_once(&q, n, r, queries);
+                let mut iters = 1usize;
+                started.wait();
                 while !stop.load(Ordering::Relaxed) {
                     let review = read_once(&q, n, r + iters, queries);
                     assert!(
@@ -109,9 +115,14 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
                 (last, iters)
             }));
         }
+        started.wait();
         for w in cuts.windows(2) {
             feed(&mut engine, &t, w[0], w[1]);
             epochs.push(engine.review());
+            let published = queries.load(Ordering::SeqCst);
+            while queries.load(Ordering::SeqCst) == published {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
@@ -119,8 +130,7 @@ fn readers_observe_consistent_epochs_and_spend_nothing() {
             assert!(iters > 0, "a reader never ran");
             assert!(last <= REVIEWS as u32, "impossible epoch id {last}");
         }
-    })
-    .expect("scope panicked");
+    });
     assert!(
         queries.load(Ordering::Relaxed) > 0,
         "no queries were issued — the stress is vacuous"

@@ -240,7 +240,15 @@ mod tests {
     #[test]
     fn monitor_steps_chain_the_row_cache() {
         let snaps = snapshots();
-        let mut monitor = ConvergenceMonitor::new(snaps[0].clone(), config());
+        // Pin the cache on: chaining is disabled by design when a
+        // `CP_ROW_CACHE=0` environment keeps nothing resident.
+        let stream = StreamConfig {
+            row_cache: Some(cp_core::oracle::RowCacheBudget::Unbounded),
+            ..config().stream()
+        };
+        let mut monitor = ConvergenceMonitor {
+            engine: StreamEngine::from_snapshot(&snaps[0], stream),
+        };
         monitor.advance(snaps[1].clone());
         let step2 = monitor.advance(snaps[2].clone());
         assert!(
