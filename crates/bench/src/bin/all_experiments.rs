@@ -114,13 +114,11 @@ fn main() {
                 agg.recomputed_rows += row.stats.recomputed_rows;
                 agg.cache_bytes = agg.cache_bytes.max(row.stats.cache_bytes);
                 agg.threads = row.stats.threads;
-                agg.kernel = row.stats.kernel;
                 agg.kernel_stats.msbfs_waves += row.stats.kernel_stats.msbfs_waves;
                 agg.kernel_stats.msbfs_rows += row.stats.kernel_stats.msbfs_rows;
                 agg.kernel_stats.bfs_rows += row.stats.kernel_stats.bfs_rows;
                 agg.kernel_stats.dijkstra_rows += row.stats.kernel_stats.dijkstra_rows;
                 agg.kernel_stats.repair_rows += row.stats.kernel_stats.repair_rows;
-                agg.scan_kernel = row.stats.scan_kernel;
                 agg.scan_chunks_scanned += row.stats.scan_chunks_scanned;
                 agg.scan_chunks_skipped += row.stats.scan_chunks_skipped;
                 agg.scan_pairs_pruned += row.stats.scan_pairs_pruned;
@@ -128,20 +126,6 @@ fn main() {
                 agg.arena.u32_rows = agg.arena.u32_rows.max(row.stats.arena.u32_rows);
                 agg.arena.reused_rows += row.stats.arena.reused_rows;
                 agg.arena.slab_bytes = agg.arena.slab_bytes.max(row.stats.arena.slab_bytes);
-                agg.graph_store = row.stats.graph_store;
-                let gm = &row.stats.graph_mem;
-                agg.graph_mem.base_bytes = agg.graph_mem.base_bytes.max(gm.base_bytes);
-                agg.graph_mem.overlay_bytes = agg.graph_mem.overlay_bytes.max(gm.overlay_bytes);
-                agg.graph_mem.overlay_shared_arcs = agg
-                    .graph_mem
-                    .overlay_shared_arcs
-                    .max(gm.overlay_shared_arcs);
-                agg.graph_mem.compressed_bytes =
-                    agg.graph_mem.compressed_bytes.max(gm.compressed_bytes);
-                agg.graph_mem.compressed_bytes_per_arc = agg
-                    .graph_mem
-                    .compressed_bytes_per_arc
-                    .max(gm.compressed_bytes_per_arc);
                 cells.push(pct(row.coverage));
             }
             rows.push(cells);
@@ -149,7 +133,6 @@ fn main() {
         stats_rows.push(vec![
             snaps.name.clone(),
             agg.threads.to_string(),
-            agg.kernel.name().to_string(),
             agg.sssp_computed.to_string(),
             agg.kernel_stats.msbfs_waves.to_string(),
             format!(
@@ -167,7 +150,6 @@ fn main() {
                 agg.repair_frontier_nodes as f64 / agg.repaired_rows.max(1) as f64
             ),
             format!("{}", agg.cache_bytes / 1024),
-            agg.scan_kernel.name().to_string(),
             format!(
                 "{}/{}/{}",
                 agg.scan_chunks_scanned, agg.scan_chunks_skipped, agg.scan_pairs_pruned
@@ -178,17 +160,6 @@ fn main() {
                 agg.arena.u32_rows,
                 agg.arena.reused_rows,
                 agg.arena.slab_bytes / 1024
-            ),
-            agg.graph_store.name().to_string(),
-            format!(
-                "{}/{}/{}",
-                agg.graph_mem.base_bytes / 1024,
-                agg.graph_mem.overlay_bytes / 1024,
-                agg.graph_mem.compressed_bytes / 1024
-            ),
-            format!(
-                "{}/{:.2}",
-                agg.graph_mem.overlay_shared_arcs, agg.graph_mem.compressed_bytes_per_arc
             ),
             format!("{:.3}", agg.selector_secs),
             format!("{:.3}", agg.prefetch_secs),
@@ -216,7 +187,6 @@ fn main() {
         &[
             "dataset",
             "threads",
-            "kernel",
             "sssp",
             "waves",
             "ms/bfs/dij/rep rows",
@@ -224,12 +194,8 @@ fn main() {
             "cache miss",
             "repaired/region",
             "cache KiB",
-            "scan kern",
             "chunks scan/skip/pruned",
             "arena u16/u32/reuse/KiB",
-            "store",
-            "graph KiB full/ovl/comp",
-            "shared arcs/B per arc",
             "select s",
             "prefetch s",
             "scan s",

@@ -7,10 +7,10 @@
 //! keep pruned local buffers and share a global lower bound on the
 //! interesting Δ, so memory stays proportional to the answer.
 
-use crate::scan::{scan_delta_row, ScanCounters, ScanKernel};
+use crate::scan::{scan_delta_row, ScanCounters};
 use cp_graph::apsp::for_each_source_pairwise;
 use cp_graph::rowpack::RowRef;
-use cp_graph::{distance_decrease, Graph, NodeId};
+use cp_graph::{Graph, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -124,23 +124,7 @@ pub fn sort_pairs(pairs: &mut [ConvergingPair]) {
 /// `threads` bounds the BFS worker count. The full computation is
 /// `2n` single-source shortest paths — the cost the budgeted algorithms
 /// avoid — so expect seconds at the paper's graph sizes.
-///
-/// The Δ scan over each row pair runs the kernel selected by
-/// `CP_SCAN_KERNEL` (see [`ScanKernel::from_env`]); results are identical
-/// under either kernel.
 pub fn exact_top_k(g1: &Graph, g2: &Graph, spec: &TopKSpec, threads: usize) -> ExactTopK {
-    exact_top_k_with_kernel(g1, g2, spec, threads, ScanKernel::from_env())
-}
-
-/// [`exact_top_k`] with an explicit Δ-scan kernel (conformance tests
-/// sweep this; normal callers go through the env knob).
-pub fn exact_top_k_with_kernel(
-    g1: &Graph,
-    g2: &Graph,
-    spec: &TopKSpec,
-    threads: usize,
-    kernel: ScanKernel,
-) -> ExactTopK {
     // Workers keep pairs with Δ >= the current global pruning threshold,
     // which only grows. For Threshold specs it is fixed; for the other
     // specs it starts at 1 and rises as better pairs are discovered.
@@ -164,64 +148,31 @@ pub fn exact_top_k_with_kernel(
         // Only the upper triangle: v > u, each pair visited from its
         // lower endpoint.
         let start = u.index() + 1;
-        match kernel {
-            ScanKernel::Auto => {
-                // The blocked kernel folds every chunk maximum into
-                // `delta_max` (skipped chunks included), so the final
-                // floor resolution below sees the exact maximum; per-row
-                // counters are not surfaced here.
-                let mut counters = ScanCounters::default();
-                scan_delta_row(
-                    RowRef::U32(d1),
-                    RowRef::U32(d2),
-                    start,
-                    &prune_floor,
-                    &delta_max,
-                    from_max_slack,
-                    &mut counters,
-                    &mut |v_idx, delta| {
-                        local.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
-                        if local.len() >= PRUNE_AT {
-                            let floor = prune_floor.load(Ordering::Relaxed);
-                            local.retain(|p| p.delta >= floor);
-                            if local.len() >= PRUNE_AT {
-                                // Genuinely that many qualifying pairs;
-                                // flush to bound worker memory.
-                                merged.lock().append(&mut local);
-                            }
-                        }
-                    },
-                );
-            }
-            ScanKernel::Scalar => {
-                for v_idx in start..d1.len() {
-                    let Some(delta) = distance_decrease(d1[v_idx], d2[v_idx]) else {
-                        continue;
-                    };
-                    if delta == 0 {
-                        continue;
-                    }
-                    let old_max = delta_max.fetch_max(delta, Ordering::Relaxed).max(delta);
-                    if let Some(slack) = from_max_slack {
-                        let new_floor = old_max.saturating_sub(slack).max(1);
-                        prune_floor.fetch_max(new_floor, Ordering::Relaxed);
-                    }
-                    if delta >= prune_floor.load(Ordering::Relaxed) {
-                        local.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
-                        if local.len() >= PRUNE_AT {
-                            let floor = prune_floor.load(Ordering::Relaxed);
-                            local.retain(|p| p.delta >= floor);
-                            if local.len() >= PRUNE_AT {
-                                // Genuinely that many qualifying pairs;
-                                // flush to the shared buffer to bound
-                                // worker memory.
-                                merged.lock().append(&mut local);
-                            }
-                        }
+        // The blocked kernel folds every chunk maximum into `delta_max`
+        // (skipped chunks included), so the final floor resolution below
+        // sees the exact maximum; per-row counters are not surfaced here.
+        let mut counters = ScanCounters::default();
+        scan_delta_row(
+            RowRef::U32(d1),
+            RowRef::U32(d2),
+            start,
+            &prune_floor,
+            &delta_max,
+            from_max_slack,
+            &mut counters,
+            &mut |v_idx, delta| {
+                local.push(ConvergingPair::new(u, NodeId::new(v_idx), delta));
+                if local.len() >= PRUNE_AT {
+                    let floor = prune_floor.load(Ordering::Relaxed);
+                    local.retain(|p| p.delta >= floor);
+                    if local.len() >= PRUNE_AT {
+                        // Genuinely that many qualifying pairs; flush to
+                        // bound worker memory.
+                        merged.lock().append(&mut local);
                     }
                 }
-            }
-        }
+            },
+        );
         if !local.is_empty() {
             merged.lock().append(&mut local);
         }

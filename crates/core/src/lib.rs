@@ -27,8 +27,8 @@
 //!   computation; this is how the budget of Table 1 is enforced rather
 //!   than merely reported.
 //! * [`scan`] — the blocked, branch-free Δ-scan kernel with chunk
-//!   skipping and a shared rising Δ floor (`CP_SCAN_KERNEL`), shared by
-//!   the budgeted pipeline and the exact baseline.
+//!   skipping and a shared rising Δ floor, shared by the budgeted
+//!   pipeline and the exact baseline.
 //! * [`topk`] — the generic budgeted pipeline (Algorithm 1 of the paper).
 //! * [`selectors`] — the candidate-endpoint generation suite: Degree /
 //!   DegDiff / DegRel, MaxMin / MaxAvg dispersion, SumDiff / MaxDiff

@@ -3,8 +3,8 @@
 //! The scan is a pure reduction over two distance rows: for every node `v`
 //! compute `Δ(u, v) = d_t1[v] − d_t2[v]` and keep the pairs above the
 //! [`TopKSpec`](crate::exact::TopKSpec) floor. The reference
-//! implementation is a per-element `Option` loop; this module replaces it
-//! (under [`ScanKernel::Auto`]) with a blocked kernel that is
+//! implementation is a per-element `Option` loop (kept only in the tests);
+//! this module replaces it with a blocked kernel that is
 //! memory-bandwidth-bound instead of branch-bound:
 //!
 //! * **Branch-free deltas.** `Δ = saturating_sub(d1, d2) · (d1 ≠ INF)` —
@@ -31,7 +31,7 @@
 //! intermediate floor, so its chunk maximum can never test below the floor
 //! and per-element filtering can never drop it. Pruned pairs are exactly
 //! those the final cut would discard, which is why results stay
-//! bit-identical to [`ScanKernel::Scalar`] at any thread count while
+//! bit-identical to the per-element loop at any thread count while
 //! [`ScanCounters`] (a wall-clock statistic, like timings) may vary run to
 //! run.
 
@@ -43,58 +43,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Elements per scan chunk: the granularity of the skip test (and of
 /// `observed_max`/floor updates).
 pub const SCAN_CHUNK: usize = 1024;
-
-/// Which Δ-scan kernel the pipeline runs.
-///
-/// Kernel choice never changes *what* is found: pairs, candidates, and
-/// ledger are bit-identical under either kernel at any thread count and
-/// cache budget (conformance-tested in `crates/core/tests/conformance.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScanKernel {
-    /// The reference per-element loop — the pre-optimization behaviour,
-    /// kept for A/B runs.
-    Scalar,
-    /// The blocked, branch-free, chunk-skipping kernel. The default.
-    #[default]
-    Auto,
-}
-
-impl ScanKernel {
-    /// Parses a knob spelling: `scalar`, `auto`, or empty (→ default).
-    /// Unknown spellings are `None` so callers can warn instead of
-    /// silently falling back.
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.is_empty() || s.eq_ignore_ascii_case("auto") {
-            Some(ScanKernel::Auto)
-        } else if s.eq_ignore_ascii_case("scalar") {
-            Some(ScanKernel::Scalar)
-        } else {
-            None
-        }
-    }
-
-    /// Reads `CP_SCAN_KERNEL` (`scalar` | `auto`); anything else (or
-    /// unset) means [`ScanKernel::Auto`] — mirroring `CP_BFS_KERNEL`,
-    /// with a one-time stderr warning on an unparseable value.
-    pub fn from_env() -> Self {
-        match std::env::var("CP_SCAN_KERNEL") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                crate::oracle::warn_bad_knob("CP_SCAN_KERNEL", &s, "auto");
-                ScanKernel::Auto
-            }),
-            Err(_) => ScanKernel::Auto,
-        }
-    }
-
-    /// The knob spelling of this kernel (`"scalar"` / `"auto"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ScanKernel::Scalar => "scalar",
-            ScanKernel::Auto => "auto",
-        }
-    }
-}
 
 /// Per-worker Δ-scan work counters, flushed into the run's totals after
 /// each row. Counters are wall-clock statistics: they depend on floor
@@ -298,15 +246,6 @@ mod tests {
     use cp_graph::distance_decrease;
     use cp_graph::rowpack::pack_u16_into;
 
-    #[test]
-    fn kernel_parser_accepts_canonical_spellings() {
-        assert_eq!(ScanKernel::parse("scalar"), Some(ScanKernel::Scalar));
-        assert_eq!(ScanKernel::parse(" Scalar "), Some(ScanKernel::Scalar));
-        assert_eq!(ScanKernel::parse("auto"), Some(ScanKernel::Auto));
-        assert_eq!(ScanKernel::parse(""), Some(ScanKernel::Auto));
-        assert_eq!(ScanKernel::parse("blocked"), None);
-    }
-
     /// Deterministic pseudo-random row pair with INF holes and a planted
     /// spike, long enough to span several chunks.
     fn synthetic_rows(n: usize, spike_at: usize, spike: u32) -> (Vec<u32>, Vec<u32>) {
@@ -457,13 +396,6 @@ mod tests {
             expected.iter().map(|&(_, d)| d).max().unwrap_or(0),
             "observed max covers [start, n) only"
         );
-    }
-
-    #[test]
-    fn kernel_knob_parses() {
-        assert_eq!(ScanKernel::default(), ScanKernel::Auto);
-        assert_eq!(ScanKernel::Scalar.name(), "scalar");
-        assert_eq!(ScanKernel::Auto.name(), "auto");
     }
 
     #[test]

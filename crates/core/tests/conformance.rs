@@ -1,24 +1,27 @@
 //! Differential conformance of every shipped selector across the oracle's
 //! configuration matrix.
 //!
-//! The contract: threads, BFS kernel, row-cache budget and graph store
-//! are pure wall-clock (or memory) choices. Pipeline **results** — pairs,
-//! candidate set, budget ledger — are bit-identical in every cell of the
-//! thread × kernel × cache × store matrix, for every selector the Table 5
-//! suite ships plus the local classifier, on every synthetic
-//! evolving-graph generator in `cp-gen`. The reference configuration is
-//! the pre-optimization compute path (full CSR, 1 thread, scalar kernel,
-//! `RowCacheBudget::Bytes(0)`); every other configuration must reproduce
-//! it exactly.
+//! The contract: thread count and row-cache budget are pure wall-clock
+//! (or memory) choices. Pipeline **results** — pairs, candidate set,
+//! budget ledger — are bit-identical in every cell of the threads × cache
+//! matrix, for every selector the Table 5 suite ships plus the local and
+//! global classifiers, on every synthetic evolving-graph generator in
+//! `cp-gen`. Pairs are checked against an independent recomputation
+//! (`common::reference_pairs`: reference-kernel rows and a plain Δ loop
+//! over the run's own candidate set); candidates and ledger against the
+//! matrix's first cell.
 //!
 //! A second family of checks anchors the pipeline to ground truth: the
-//! exact all-pairs solver vs. the unbudgeted Incidence baseline, which by
-//! construction finds exactly the converging pairs touching an active
-//! node (an endpoint of a new edge).
+//! exact all-pairs solver vs. the same reference over every node, and vs.
+//! the unbudgeted Incidence baseline, which by construction finds exactly
+//! the converging pairs touching an active node (an endpoint of a new
+//! edge).
 
-use cp_core::exact::{exact_top_k, exact_top_k_with_kernel, TopKSpec};
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, Snapshot, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+mod common;
+
+use common::reference_pairs;
+use cp_core::exact::{exact_top_k, TopKSpec};
+use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
 use cp_core::selectors::{
     active_nodes, incidence_full, ClassifierConfig, ClassifierSelector, IncidenceRanking,
     IncidenceSelector, SelectorKind,
@@ -115,65 +118,59 @@ fn generator_cases() -> Vec<(&'static str, TemporalGraph)> {
     ]
 }
 
-/// A selector the suite ships: one of the Table 5 kinds, or the local
-/// classifier (trained once per generator on its 40 % → 60 % pair, then
-/// reused — ranking reads the model, never updates it).
+/// A selector the suite ships: one of the Table 5 kinds, or a classifier
+/// (trained once per generator, then reused — ranking reads the model,
+/// never updates it).
 enum Shipped {
     Kind(SelectorKind),
-    Classifier(ClassifierSelector),
+    Classifier(&'static str, ClassifierSelector),
 }
 
 impl Shipped {
     fn name(&self) -> &'static str {
         match self {
             Shipped::Kind(kind) => kind.name(),
-            Shipped::Classifier(_) => "L-Classifier",
+            Shipped::Classifier(name, _) => name,
         }
     }
 }
 
-/// Every Table 5 selector plus the local classifier for one generator.
-fn shipped_selectors(t: &TemporalGraph) -> Vec<Shipped> {
+/// Every Table 5 selector plus both classifiers for generator `i` of
+/// `cases`: the local one trained on the generator's own 40 % → 60 %
+/// pair, the global one on the next two generators' 40 % → 60 % pairs
+/// (graphs it then ranks without having seen).
+fn shipped_selectors(cases: &[(&'static str, TemporalGraph)], i: usize) -> Vec<Shipped> {
     let mut out: Vec<Shipped> = SelectorKind::table5_suite()
         .into_iter()
         .map(Shipped::Kind)
         .collect();
-    let (train_g1, train_g2) = t.snapshot_pair(0.4, 0.6);
-    out.push(Shipped::Classifier(ClassifierSelector::train_local(
-        &train_g1,
-        &train_g2,
-        ClassifierConfig::default(),
-        3,
-    )));
+    let (train_g1, train_g2) = cases[i].1.snapshot_pair(0.4, 0.6);
+    out.push(Shipped::Classifier(
+        "L-Classifier",
+        ClassifierSelector::train_local(&train_g1, &train_g2, ClassifierConfig::default(), 3),
+    ));
+    let others: Vec<(Graph, Graph)> = [1, 2]
+        .iter()
+        .map(|k| cases[(i + k) % cases.len()].1.snapshot_pair(0.4, 0.6))
+        .collect();
+    let refs: Vec<(&Graph, &Graph)> = others.iter().map(|(a, b)| (a, b)).collect();
+    out.push(Shipped::Classifier(
+        "G-Classifier",
+        ClassifierSelector::train_global(&refs, ClassifierConfig::default(), 3),
+    ));
     out
 }
 
 /// One cell of the oracle's configuration matrix.
 #[derive(Clone, Copy)]
 struct Config {
-    store: GraphStore,
     threads: usize,
-    kernel: BfsKernel,
     cache: RowCacheBudget,
 }
 
-/// The pre-optimization compute path every cell is compared against.
-const REFERENCE: Config = Config {
-    store: GraphStore::Full,
-    threads: 1,
-    kernel: BfsKernel::Scalar,
-    cache: RowCacheBudget::Bytes(0),
-};
-
 impl Config {
     fn describe(&self) -> String {
-        format!(
-            "store={}/threads={}/{}/cache={}",
-            self.store.name(),
-            self.threads,
-            self.kernel.name(),
-            self.cache.describe()
-        )
+        format!("threads={}/cache={}", self.threads, self.cache.describe())
     }
 }
 
@@ -188,9 +185,7 @@ fn run_config(
     cfg: Config,
 ) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_graph_store(cfg.store)
         .with_threads(cfg.threads)
-        .with_kernel(cfg.kernel)
         .with_row_cache(cfg.cache);
     match sel {
         Shipped::Kind(SelectorKind::IncBet) => {
@@ -199,18 +194,29 @@ fn run_config(
             run_pipeline(&mut oracle, &mut incbet, spec)
         }
         Shipped::Kind(kind) => run_pipeline(&mut oracle, kind.build(3).as_mut(), spec),
-        Shipped::Classifier(classifier) => run_pipeline(&mut oracle, classifier, spec),
+        Shipped::Classifier(_, classifier) => run_pipeline(&mut oracle, classifier, spec),
     }
 }
 
-/// Asserts one cell reproduces the reference, with coherent stats.
-fn assert_cell_matches(got: &BudgetedResult, reference: &BudgetedResult, cfg: Config, ctx: &str) {
-    assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
+/// Asserts one cell reproduces the independent reference pairs for its
+/// own candidate set, and the first cell's candidates and ledger, with
+/// coherent stats.
+fn assert_cell_matches(
+    got: &BudgetedResult,
+    first: &BudgetedResult,
+    g1: &Graph,
+    g2: &Graph,
+    spec: &TopKSpec,
+    cfg: Config,
+    ctx: &str,
+) {
+    let (want, _) = reference_pairs(g1, g2, &got.candidates, spec);
+    assert_eq!(got.pairs, want, "pairs diverge from the reference: {ctx}");
     assert_eq!(
-        got.candidates, reference.candidates,
+        got.candidates, first.candidates,
         "candidates diverge: {ctx}"
     );
-    assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
+    assert_eq!(got.budget, first.budget, "ledger diverges: {ctx}");
     // Charged rows add up to the ledger, and the disabled cache never
     // repairs.
     let ks = got.stats.kernel_stats;
@@ -225,69 +231,35 @@ fn assert_cell_matches(got: &BudgetedResult, reference: &BudgetedResult, cfg: Co
             "disabled cache must not repair: {ctx}"
         );
     }
-    assert_eq!(
-        got.stats.graph_store, cfg.store,
-        "store not recorded: {ctx}"
-    );
-    let mem = got.stats.graph_mem;
-    assert!(mem.base_bytes > 0, "no base bytes: {ctx}");
-    match cfg.store {
-        GraphStore::Full => {
-            assert_eq!(mem.overlay_bytes, 0, "{ctx}");
-            assert_eq!(mem.compressed_bytes, 0, "{ctx}");
-        }
-        // Growth-only snapshot pairs must actually share the base CSR.
-        GraphStore::Overlay => {
-            assert!(mem.overlay_shared_arcs > 0, "overlay shares no arcs: {ctx}")
-        }
-        GraphStore::Compressed => {
-            assert!(mem.compressed_bytes > 0, "{ctx}");
-            assert!(mem.compressed_bytes_per_arc > 0.0, "{ctx}");
-        }
-    }
 }
 
-/// The full differential matrix: stores {full, overlay, compressed} ×
-/// threads {1,2,8} × kernels {scalar,auto} × cache budgets {off, tiny,
-/// unbounded} against the reference configuration, for every shipped
-/// selector on every generator. The tiny budget (one row's worth of bytes
-/// beyond the pinned pair) forces constant eviction, free recomputation,
-/// and donor-miss fallbacks in the repair planner. IncBet sweeps the
-/// store, kernel and cache axes at one thread only: its thread axis is
-/// [`incbet_is_invariant_across_threads`].
+/// The full differential matrix: threads {1,2,8} × cache budgets {off,
+/// tiny, unbounded}, for every shipped selector on every generator. The
+/// tiny budget (one row's worth of bytes beyond the pinned pair) forces
+/// constant eviction, free recomputation, and donor-miss fallbacks in the
+/// repair planner. IncBet sweeps the cache axis at one thread only: its
+/// thread axis is [`incbet_is_invariant_across_threads`].
 #[test]
 fn every_shipped_selector_is_invariant_across_the_matrix() {
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    for (name, t) in generator_cases() {
+    let cases = generator_cases();
+    for (i, (name, t)) in cases.iter().enumerate() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
         let tiny = RowCacheBudget::Bytes(3 * 4 * g1.num_nodes());
-        for mut sel in shipped_selectors(&t) {
+        for mut sel in shipped_selectors(&cases, i) {
             let threads_axis: &[usize] = match sel {
                 Shipped::Kind(SelectorKind::IncBet) => &[1],
                 _ => &[1, 2, 8],
             };
             for m in [4u64, 12] {
-                let reference = run_config(&g1, &g2, &mut sel, m, &spec, REFERENCE);
-                for store in [
-                    GraphStore::Full,
-                    GraphStore::Overlay,
-                    GraphStore::Compressed,
-                ] {
-                    for &threads in threads_axis {
-                        for kernel in [BfsKernel::Scalar, BfsKernel::Auto] {
-                            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded]
-                            {
-                                let cfg = Config {
-                                    store,
-                                    threads,
-                                    kernel,
-                                    cache,
-                                };
-                                let got = run_config(&g1, &g2, &mut sel, m, &spec, cfg);
-                                let ctx = format!("{name}/{}/m={m}/{}", sel.name(), cfg.describe());
-                                assert_cell_matches(&got, &reference, cfg, &ctx);
-                            }
-                        }
+                let mut first: Option<BudgetedResult> = None;
+                for &threads in threads_axis {
+                    for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
+                        let cfg = Config { threads, cache };
+                        let got = run_config(&g1, &g2, &mut sel, m, &spec, cfg);
+                        let ctx = format!("{name}/{}/m={m}/{}", sel.name(), cfg.describe());
+                        let first = first.get_or_insert_with(|| got.clone());
+                        assert_cell_matches(&got, first, &g1, &g2, &spec, cfg, &ctx);
                     }
                 }
             }
@@ -306,15 +278,16 @@ fn incbet_is_invariant_across_threads() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
         let mut sel = Shipped::Kind(SelectorKind::IncBet);
         for m in [4u64, 12] {
-            let reference = run_config(&g1, &g2, &mut sel, m, &spec, REFERENCE);
+            let single = Config {
+                threads: 1,
+                cache: RowCacheBudget::Bytes(0),
+            };
+            let first = run_config(&g1, &g2, &mut sel, m, &spec, single);
             for threads in [2usize, 8] {
-                let cfg = Config {
-                    threads,
-                    ..REFERENCE
-                };
+                let cfg = Config { threads, ..single };
                 let got = run_config(&g1, &g2, &mut sel, m, &spec, cfg);
                 let ctx = format!("{name}/IncBet/m={m}/{}", cfg.describe());
-                assert_cell_matches(&got, &reference, cfg, &ctx);
+                assert_cell_matches(&got, &first, &g1, &g2, &spec, cfg, &ctx);
             }
         }
     }
@@ -355,30 +328,27 @@ fn incidence_baseline_matches_exact_ground_truth() {
     }
 }
 
-fn run_scan_config(
+fn run_degree(
     g1: &Graph,
     g2: &Graph,
     m: u64,
     spec: &TopKSpec,
     threads: usize,
-    scan: ScanKernel,
     cache: RowCacheBudget,
 ) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
         .with_threads(threads)
-        .with_row_cache(cache)
-        .with_scan_kernel(scan);
+        .with_row_cache(cache);
     let mut sel = SelectorKind::Degree.build(3);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
 
-/// The Δ-scan kernel matrix: `CP_SCAN_KERNEL` {scalar, auto} × threads
-/// {1,2,8} × cache budgets {off, tiny, 64k, unbounded} × every spec shape,
-/// against the reference scan (1 thread, scalar, cache off). The blocked
-/// kernel's chunk skipping and rising floors must never change pairs,
-/// candidates, or the ledger.
+/// The Δ-scan matrix: threads {1,2,8} × cache budgets {off, tiny, 64k,
+/// unbounded} × every spec shape, against the independent reference. The
+/// blocked kernel's chunk skipping and rising floors must never change
+/// pairs, candidates, or the ledger — and it must actually see chunks.
 #[test]
-fn scan_kernel_is_invariant_across_the_matrix() {
+fn delta_scan_matches_the_reference_across_the_matrix() {
     let specs = [
         TopKSpec::TopK(10),
         TopKSpec::ThresholdFromMax { slack: 1 },
@@ -389,47 +359,31 @@ fn scan_kernel_is_invariant_across_the_matrix() {
         // One resident row pair plus change, at the packed (u16) width.
         let tiny = RowCacheBudget::Bytes(3 * 2 * g1.num_nodes());
         for spec in &specs {
-            let reference = run_scan_config(
-                &g1,
-                &g2,
-                12,
-                spec,
-                1,
-                ScanKernel::Scalar,
-                RowCacheBudget::Bytes(0),
-            );
+            let first = run_degree(&g1, &g2, 12, spec, 1, RowCacheBudget::Bytes(0));
+            let (want, _) = reference_pairs(&g1, &g2, &first.candidates, spec);
             for threads in [1usize, 2, 8] {
-                for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-                    for cache in [
-                        RowCacheBudget::Bytes(0),
-                        tiny,
-                        RowCacheBudget::Bytes(64 * 1024),
-                        RowCacheBudget::Unbounded,
-                    ] {
-                        let got = run_scan_config(&g1, &g2, 12, spec, threads, scan, cache);
-                        let ctx = format!(
-                            "{name}/{spec:?}/threads={threads}/scan={}/cache={}",
-                            scan.name(),
-                            cache.describe(),
+                for cache in [
+                    RowCacheBudget::Bytes(0),
+                    tiny,
+                    RowCacheBudget::Bytes(64 * 1024),
+                    RowCacheBudget::Unbounded,
+                ] {
+                    let got = run_degree(&g1, &g2, 12, spec, threads, cache);
+                    let ctx = format!(
+                        "{name}/{spec:?}/threads={threads}/cache={}",
+                        cache.describe(),
+                    );
+                    assert_eq!(got.pairs, want, "pairs diverge from the reference: {ctx}");
+                    assert_eq!(
+                        got.candidates, first.candidates,
+                        "candidates diverge: {ctx}"
+                    );
+                    assert_eq!(got.budget, first.budget, "ledger diverges: {ctx}");
+                    if !got.candidates.is_empty() {
+                        assert!(
+                            got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
+                            "blocked kernel saw no chunks: {ctx}"
                         );
-                        assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                        assert_eq!(
-                            got.candidates, reference.candidates,
-                            "candidates diverge: {ctx}"
-                        );
-                        assert_eq!(got.budget, reference.budget, "ledger diverges: {ctx}");
-                        assert_eq!(got.stats.scan_kernel, scan, "kernel not recorded: {ctx}");
-                        if scan == ScanKernel::Scalar {
-                            // The reference loop neither chunks nor prunes.
-                            assert_eq!(got.stats.scan_chunks_scanned, 0, "{ctx}");
-                            assert_eq!(got.stats.scan_chunks_skipped, 0, "{ctx}");
-                            assert_eq!(got.stats.scan_pairs_pruned, 0, "{ctx}");
-                        } else if !got.candidates.is_empty() {
-                            assert!(
-                                got.stats.scan_chunks_scanned + got.stats.scan_chunks_skipped > 0,
-                                "blocked kernel saw no chunks: {ctx}"
-                            );
-                        }
                     }
                 }
             }
@@ -437,11 +391,11 @@ fn scan_kernel_is_invariant_across_the_matrix() {
     }
 }
 
-/// The exact baseline runs the same Δ-scan kernel; its answer (and the
-/// exact Δmax, which skipped chunks must still feed) is kernel- and
-/// thread-invariant.
+/// The exact baseline runs the same blocked Δ-scan; its answer, its Δmax
+/// (which skipped chunks must still feed) and its Δmin equal an all-pairs
+/// reference built from `bfs_scalar_into` rows, at any thread count.
 #[test]
-fn exact_solver_is_scan_kernel_invariant() {
+fn exact_solver_matches_the_all_pairs_reference() {
     let specs = [
         TopKSpec::TopK(25),
         TopKSpec::ThresholdFromMax { slack: 2 },
@@ -449,16 +403,16 @@ fn exact_solver_is_scan_kernel_invariant() {
     ];
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
+        let all: Vec<NodeId> = g1.nodes().collect();
         for spec in &specs {
-            let reference = exact_top_k_with_kernel(&g1, &g2, spec, 1, ScanKernel::Scalar);
+            let (want, delta_max) = reference_pairs(&g1, &g2, &all, spec);
+            let delta_min = want.last().map_or(0, |p| p.delta);
             for threads in [1usize, 2, 8] {
-                for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-                    let got = exact_top_k_with_kernel(&g1, &g2, spec, threads, scan);
-                    let ctx = format!("{name}/{spec:?}/threads={threads}/scan={}", scan.name());
-                    assert_eq!(got.pairs, reference.pairs, "pairs diverge: {ctx}");
-                    assert_eq!(got.delta_max, reference.delta_max, "Δmax diverges: {ctx}");
-                    assert_eq!(got.delta_min, reference.delta_min, "Δmin diverges: {ctx}");
-                }
+                let got = exact_top_k(&g1, &g2, spec, threads);
+                let ctx = format!("{name}/{spec:?}/threads={threads}");
+                assert_eq!(got.pairs, want, "pairs diverge from the reference: {ctx}");
+                assert_eq!(got.delta_max, delta_max, "Δmax diverges: {ctx}");
+                assert_eq!(got.delta_min, delta_min, "Δmin diverges: {ctx}");
             }
         }
     }
@@ -478,42 +432,39 @@ fn scan_recomputes_count_toward_recomputed_rows() {
     for (name, t) in generator_cases() {
         let (g1, g2) = t.snapshot_pair(0.7, 1.0);
         for threads in [1usize, 2] {
-            for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-                let run = |cache: RowCacheBudget| {
-                    let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 2 * 12)
-                        .with_threads(threads)
-                        .with_scan_kernel(scan)
-                        .with_row_cache(cache);
-                    let mut sel = SelectorKind::Degree.build(3);
-                    let res = run_pipeline(&mut oracle, sel.as_mut(), &spec);
-                    let evicted = res
-                        .candidates
-                        .iter()
-                        .flat_map(|&u| [Snapshot::First, Snapshot::Second].map(|w| (w, u)))
-                        .filter(|&(w, u)| oracle.cached_row(w, u).is_none())
-                        .count() as u64;
-                    (res, evicted)
-                };
-                let ctx = format!("{name}/threads={threads}/scan={}", scan.name());
-                let (cached, _) = run(RowCacheBudget::Unbounded);
-                assert_eq!(cached.stats.recomputed_rows, 0, "{ctx}");
-                let (res, evicted) = run(RowCacheBudget::Bytes(0));
-                let scanned = res.candidates.len() as u64;
-                assert_eq!(res.stats.recomputed_rows, evicted, "{ctx}");
-                assert!(
-                    res.stats.recomputed_rows >= (2 * scanned).saturating_sub(2),
-                    "{ctx}: {} recomputes for {scanned} scanned candidates",
-                    res.stats.recomputed_rows
-                );
-                scanned_somewhere |= scanned > 2;
-            }
+            let run = |cache: RowCacheBudget| {
+                let mut oracle = SnapshotOracle::with_budget(&g1, &g2, 2 * 12)
+                    .with_threads(threads)
+                    .with_row_cache(cache);
+                let mut sel = SelectorKind::Degree.build(3);
+                let res = run_pipeline(&mut oracle, sel.as_mut(), &spec);
+                let evicted = res
+                    .candidates
+                    .iter()
+                    .flat_map(|&u| [Snapshot::First, Snapshot::Second].map(|w| (w, u)))
+                    .filter(|&(w, u)| oracle.cached_row(w, u).is_none())
+                    .count() as u64;
+                (res, evicted)
+            };
+            let ctx = format!("{name}/threads={threads}");
+            let (cached, _) = run(RowCacheBudget::Unbounded);
+            assert_eq!(cached.stats.recomputed_rows, 0, "{ctx}");
+            let (res, evicted) = run(RowCacheBudget::Bytes(0));
+            let scanned = res.candidates.len() as u64;
+            assert_eq!(res.stats.recomputed_rows, evicted, "{ctx}");
+            assert!(
+                res.stats.recomputed_rows >= (2 * scanned).saturating_sub(2),
+                "{ctx}: {} recomputes for {scanned} scanned candidates",
+                res.stats.recomputed_rows
+            );
+            scanned_somewhere |= scanned > 2;
         }
     }
     assert!(scanned_somewhere, "no run scanned more than two candidates");
 }
 
 /// Weighted snapshots must keep full-width rows — Dijkstra distances can
-/// exceed `u16` — while the pipeline stays scan-kernel-invariant on them.
+/// exceed `u16` — while the pipeline still matches the reference on them.
 #[test]
 fn weighted_rows_take_the_u32_arena_path() {
     let weighted = |extra: &[(u32, u32, u32)]| {
@@ -529,73 +480,18 @@ fn weighted_rows_take_the_u32_arena_path() {
     let g1 = weighted(&[]);
     let g2 = weighted(&[(0, 15, 1), (4, 11, 2)]);
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    let reference = run_scan_config(
-        &g1,
-        &g2,
-        8,
-        &spec,
-        1,
-        ScanKernel::Scalar,
-        RowCacheBudget::Bytes(0),
+    let first = run_degree(&g1, &g2, 8, &spec, 1, RowCacheBudget::Bytes(0));
+    let (want, _) = reference_pairs(&g1, &g2, &first.candidates, &spec);
+    assert_eq!(first.pairs, want, "cache off diverges from the reference");
+    let got = run_degree(&g1, &g2, 8, &spec, 2, RowCacheBudget::Unbounded);
+    assert_eq!(got.pairs, want, "cache on diverges from the reference");
+    assert_eq!(got.candidates, first.candidates);
+    assert_eq!(
+        got.stats.arena.u16_rows, 0,
+        "weighted rows must not be packed"
     );
-    for scan in [ScanKernel::Scalar, ScanKernel::Auto] {
-        let got = run_scan_config(&g1, &g2, 8, &spec, 2, scan, RowCacheBudget::Unbounded);
-        assert_eq!(got.pairs, reference.pairs, "scan={}", scan.name());
-        assert_eq!(got.candidates, reference.candidates, "scan={}", scan.name());
-        assert_eq!(
-            got.stats.arena.u16_rows, 0,
-            "weighted rows must not be packed"
-        );
-        assert!(got.stats.arena.u32_rows > 0, "u32 arena must hold the rows");
-    }
-    assert!(
-        !reference.pairs.is_empty(),
-        "weighted case must not be vacuous"
-    );
-}
-
-/// The overlay store's O(Δ) delta fast path (`OverlayGraph::to_delta`)
-/// must drive snapshot-delta repair exactly like the O(E) containment
-/// scan of the full store: not just the same visible results, but the
-/// same repaired-row counters and kernel-row split, run for run.
-#[test]
-fn overlay_fast_path_repairs_identically_to_the_slow_scan() {
-    let spec = TopKSpec::ThresholdFromMax { slack: 1 };
-    let mut repaired_somewhere = false;
-    for (name, t) in generator_cases() {
-        let (g1, g2) = t.snapshot_pair(0.7, 1.0);
-        let run = |store: GraphStore| {
-            let cfg = Config {
-                store,
-                threads: 1,
-                kernel: BfsKernel::Auto,
-                cache: RowCacheBudget::Unbounded,
-            };
-            let mut sel = Shipped::Kind(SelectorKind::Mmsd { landmarks: 3 });
-            run_config(&g1, &g2, &mut sel, 12, &spec, cfg)
-        };
-        let full = run(GraphStore::Full);
-        let overlay = run(GraphStore::Overlay);
-        assert_eq!(overlay.pairs, full.pairs, "{name}: pairs diverge");
-        assert_eq!(
-            overlay.candidates, full.candidates,
-            "{name}: candidates diverge"
-        );
-        assert_eq!(overlay.budget, full.budget, "{name}: ledger diverges");
-        assert_eq!(
-            overlay.stats.repaired_rows, full.stats.repaired_rows,
-            "{name}: repair counters diverge"
-        );
-        assert_eq!(
-            overlay.stats.kernel_stats, full.stats.kernel_stats,
-            "{name}: kernel-row split diverges"
-        );
-        repaired_somewhere |= overlay.stats.repaired_rows > 0;
-    }
-    assert!(
-        repaired_somewhere,
-        "no generator ever exercised the repair path under the overlay store"
-    );
+    assert!(got.stats.arena.u32_rows > 0, "u32 arena must hold the rows");
+    assert!(!want.is_empty(), "weighted case must not be vacuous");
 }
 
 /// The exact solver's top-k cut is reproduced by the budgeted pipeline
@@ -609,12 +505,7 @@ fn full_budget_recovers_exact_top_k_under_any_cache() {
         let exact = exact_top_k(&g1, &g2, &spec, 2);
         let n = g1.num_nodes() as u64;
         for cache in [RowCacheBudget::Bytes(0), RowCacheBudget::Unbounded] {
-            let cfg = Config {
-                store: GraphStore::Full,
-                threads: 2,
-                kernel: BfsKernel::Auto,
-                cache,
-            };
+            let cfg = Config { threads: 2, cache };
             let got = run_config(
                 &g1,
                 &g2,

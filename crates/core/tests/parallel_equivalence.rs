@@ -1,15 +1,20 @@
-//! Determinism of the parallel pipeline: neither the thread count nor the
-//! BFS kernel configured on the oracle may change *what* is computed —
-//! pairs, candidate set, and budget ledger are bit-identical at any worker
-//! count and under either kernel, because budget admission is sequential
-//! and BFS levels are uniquely determined by the graph; only the SSSP
-//! fan-out, the wave batching, and the Δ scan differ.
+//! Determinism of the parallel pipeline: the thread count configured on
+//! the oracle may not change *what* is computed — pairs, candidate set,
+//! and budget ledger are bit-identical at any worker count, because budget
+//! admission is sequential and BFS levels are uniquely determined by the
+//! graph; only the SSSP fan-out, the wave batching, and the Δ scan differ.
+//! Rows and pairs are checked against the reference kernels
+//! (`bfs_scalar_into`, Dijkstra) through `common`.
 
+mod common;
+
+use common::{reference_pairs, reference_row};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, RowCacheBudget, Snapshot, SnapshotOracle};
+use cp_core::oracle::{RowCacheBudget, Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_exec::Executor;
+use cp_graph::bfs::BfsWorkspace;
 use cp_graph::builder::graph_from_edges;
 use cp_graph::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -46,23 +51,7 @@ fn run_with_threads(
     seed: u64,
     threads: usize,
 ) -> BudgetedResult {
-    run_with(g1, g2, kind, m, spec, seed, threads, BfsKernel::Auto)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with(
-    g1: &Graph,
-    g2: &Graph,
-    kind: SelectorKind,
-    m: u64,
-    spec: &TopKSpec,
-    seed: u64,
-    threads: usize,
-    kernel: BfsKernel,
-) -> BudgetedResult {
-    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m)
-        .with_threads(threads)
-        .with_kernel(kernel);
+    let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * m).with_threads(threads);
     let mut sel = kind.build(seed);
     run_pipeline(&mut oracle, sel.as_mut(), spec)
 }
@@ -127,10 +116,11 @@ proptest! {
         }
     }
 
-    /// Scalar vs optimized kernel: identical pairs, candidates, and
-    /// ledger across thread counts — the tentpole's determinism contract.
+    /// The pipeline's pairs equal the independent reference (scalar BFS
+    /// rows and a plain Δ loop over the run's own candidates) at every
+    /// thread count.
     #[test]
-    fn pipeline_is_kernel_invariant(
+    fn pipeline_matches_the_scalar_reference(
         case in snapshot_pair(40),
         m in 1u64..24,
         seed in 0u64..8,
@@ -138,20 +128,12 @@ proptest! {
         let (g1, g2) = build_graphs(&case);
         let spec = TopKSpec::ThresholdFromMax { slack: 1 };
         for kind in SELECTORS {
-            let scalar = run_with(&g1, &g2, kind, m, &spec, seed, 1, BfsKernel::Scalar);
             for threads in [1usize, 2, 8] {
-                let auto = run_with(&g1, &g2, kind, m, &spec, seed, threads, BfsKernel::Auto);
+                let got = run_with_threads(&g1, &g2, kind, m, &spec, seed, threads);
+                let (want, _) = reference_pairs(&g1, &g2, &got.candidates, &spec);
                 prop_assert_eq!(
-                    &auto.pairs, &scalar.pairs,
-                    "{} pairs diverge (auto, {} threads)", kind.name(), threads
-                );
-                prop_assert_eq!(
-                    &auto.candidates, &scalar.candidates,
-                    "{} candidates diverge (auto, {} threads)", kind.name(), threads
-                );
-                prop_assert_eq!(
-                    auto.budget, scalar.budget,
-                    "{} ledger diverges (auto, {} threads)", kind.name(), threads
+                    &got.pairs, &want,
+                    "{} pairs diverge from the reference ({} threads)", kind.name(), threads
                 );
             }
         }
@@ -262,36 +244,47 @@ fn grid_snapshots() -> (Graph, Graph) {
     (g1, g2)
 }
 
+/// Asserts every row `oracle` holds for `nodes` equals the reference
+/// kernels' row.
+fn assert_rows_match_reference(oracle: &SnapshotOracle<'_>, nodes: &[NodeId], ctx: &str) {
+    let mut ws = BfsWorkspace::new();
+    for &u in nodes {
+        for (which, g) in [
+            (Snapshot::First, oracle.g1()),
+            (Snapshot::Second, oracle.g2()),
+        ] {
+            assert_eq!(
+                oracle.cached_row(which, u).map(|r| r.to_u32_vec()),
+                Some(reference_row(g, u, &mut ws)),
+                "{ctx}: row of {u} diverges in {which:?}"
+            );
+        }
+    }
+}
+
 /// Explicit batch widths {1, 64, 65} through `prefetch_node_rows`: every
-/// row the optimized kernel caches must be byte-identical to the scalar
-/// oracle's, and the wave counters must reflect the planned chunking.
+/// row the single- and four-thread oracles cache must be byte-identical
+/// to the scalar reference row, and the wave counters must reflect the
+/// planned chunking.
 #[test]
-fn prefetch_batch_widths_are_kernel_invariant() {
+fn prefetch_batch_widths_match_the_scalar_reference() {
     let (g1, g2) = grid_snapshots();
     for width in [1usize, 64, 65] {
         let nodes: Vec<NodeId> = (0..width as u32).map(NodeId).collect();
         // The wave/repair expectations below need the delta cache on, so
         // pin it against the environment (the CI matrix sets CP_ROW_CACHE=0).
-        let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-            .with_kernel(BfsKernel::Scalar)
-            .with_row_cache(RowCacheBudget::Unbounded);
+        let mut single = SnapshotOracle::unbounded(&g1, &g2)
+            .with_row_cache(RowCacheBudget::Unbounded)
+            .with_threads(1);
         let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-            .with_kernel(BfsKernel::Auto)
             .with_row_cache(RowCacheBudget::Unbounded)
             .with_threads(4);
-        let rs = scalar.prefetch_node_rows(&nodes);
+        let rs = single.prefetch_node_rows(&nodes);
         let ra = auto.prefetch_node_rows(&nodes);
         assert_eq!(rs, ra, "width {width}: prefetch reports diverge");
-        assert_eq!(scalar.ledger(), auto.ledger(), "width {width}");
-        for &u in &nodes {
-            for which in [Snapshot::First, Snapshot::Second] {
-                assert_eq!(
-                    scalar.cached_row(which, u),
-                    auto.cached_row(which, u),
-                    "width {width}: row of {u} diverges in {which:?}"
-                );
-            }
-        }
+        assert_eq!(single.ledger(), auto.ledger(), "width {width}");
+        assert_rows_match_reference(&single, &nodes, &format!("width {width}, 1 thread"));
+        assert_rows_match_reference(&auto, &nodes, &format!("width {width}, 4 threads"));
         let ks = auto.kernel_stats();
         // The snapshots grow (`g1 ⊆ g2`), so every `t2` row is repaired
         // from its batch-mate `t1` donor and only the `t1` batch of
@@ -311,13 +304,16 @@ fn prefetch_batch_widths_are_kernel_invariant() {
             auto.ledger().total(),
             "width {width}: row counters must add up to the ledger"
         );
-        assert_eq!(scalar.kernel_stats().msbfs_waves, 0);
-        assert_eq!(scalar.kernel_stats().repair_rows, width as u64);
+        assert_eq!(
+            single.kernel_stats(),
+            ks,
+            "width {width}: row split diverges"
+        );
     }
 }
 
-/// Weighted snapshots always fall back to Dijkstra: the optimized kernel
-/// plans no waves and the rows are identical to the scalar oracle's.
+/// Weighted snapshots always fall back to Dijkstra: the oracle plans no
+/// waves and the rows are identical to the reference Dijkstra rows.
 #[test]
 fn weighted_snapshots_fall_back_to_dijkstra() {
     let weighted = |extra: &[(u32, u32, u32)]| {
@@ -336,24 +332,11 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
     let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
     // Repair expectations below need the delta cache on regardless of the
     // environment's CP_ROW_CACHE.
-    let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Scalar)
-        .with_row_cache(RowCacheBudget::Unbounded);
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Auto)
         .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4);
-    scalar.prefetch_node_rows(&nodes);
     auto.prefetch_node_rows(&nodes);
-    for &u in &nodes {
-        for which in [Snapshot::First, Snapshot::Second] {
-            assert_eq!(
-                scalar.cached_row(which, u),
-                auto.cached_row(which, u),
-                "row of {u} diverges in {which:?}"
-            );
-        }
-    }
+    assert_rows_match_reference(&auto, &nodes, "weighted");
     let ks = auto.kernel_stats();
     assert_eq!(ks.msbfs_waves, 0, "weighted graphs must not plan waves");
     assert_eq!(ks.msbfs_rows, 0);
@@ -368,16 +351,15 @@ fn weighted_snapshots_fall_back_to_dijkstra() {
 /// Spawn-once across prefetch batches: one injected pool serves three
 /// consecutive wide prefetch fan-outs, `workers_spawned` settles after
 /// the first batch and never moves again, and every cached row matches
-/// a single-thread scalar oracle byte for byte.
+/// the scalar reference row byte for byte.
 #[test]
 fn injected_pool_is_reused_across_prefetch_batches() {
     let (g1, g2) = grid_snapshots();
     let pool = Arc::new(Executor::new(4));
-    let mut scalar = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Scalar)
-        .with_row_cache(RowCacheBudget::Unbounded);
+    let mut single = SnapshotOracle::unbounded(&g1, &g2)
+        .with_row_cache(RowCacheBudget::Unbounded)
+        .with_threads(1);
     let mut auto = SnapshotOracle::unbounded(&g1, &g2)
-        .with_kernel(BfsKernel::Auto)
         .with_row_cache(RowCacheBudget::Unbounded)
         .with_threads(4)
         .with_executor(Arc::clone(&pool));
@@ -386,18 +368,10 @@ fn injected_pool_is_reused_across_prefetch_batches() {
     let mut spawned_after_first = 0;
     for batch in 0..3u32 {
         let nodes: Vec<NodeId> = (batch * 20..(batch + 1) * 20).map(NodeId).collect();
-        let rs = scalar.prefetch_node_rows(&nodes);
+        let rs = single.prefetch_node_rows(&nodes);
         let ra = auto.prefetch_node_rows(&nodes);
         assert_eq!(rs, ra, "batch {batch}: prefetch reports diverge");
-        for &u in &nodes {
-            for which in [Snapshot::First, Snapshot::Second] {
-                assert_eq!(
-                    scalar.cached_row(which, u),
-                    auto.cached_row(which, u),
-                    "batch {batch}: row of {u} diverges in {which:?}"
-                );
-            }
-        }
+        assert_rows_match_reference(&auto, &nodes, &format!("batch {batch}"));
         let stats = pool.stats();
         assert!(
             stats.workers_spawned < 4,
@@ -413,7 +387,7 @@ fn injected_pool_is_reused_across_prefetch_batches() {
         }
         assert!(stats.batches_run > u64::from(batch));
     }
-    assert_eq!(scalar.ledger(), auto.ledger());
+    assert_eq!(single.ledger(), auto.ledger());
 }
 
 /// A panicking task must poison only its batch: the panic re-throws on

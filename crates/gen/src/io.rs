@@ -5,6 +5,12 @@
 //! line order is the timestamp — this accepts the common SNAP/KONECT edge
 //! list exports, so real traces can be dropped in for the synthetic
 //! emulators without code changes.
+//!
+//! Node ids in a file are labels, not indexes: a trace may number its
+//! nodes sparsely (`7`, `4000000000`). The reader compacts them,
+//! order-preservingly, to the dense ids `0..n` the graph layer indexes by,
+//! and hands back each dense id's original label so callers can report
+//! results in the file's own terms.
 
 use cp_graph::{NodeId, TemporalGraph, TimedEdge};
 use std::io::{BufRead, BufWriter, Write};
@@ -43,11 +49,15 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// Parses a temporal edge list from a reader. Node ids are compacted: the
-/// universe size becomes `max id + 1`.
-pub fn read_temporal<R: BufRead>(reader: R) -> Result<TemporalGraph, IoError> {
+/// Parses a temporal edge list from a reader.
+///
+/// Node ids are compacted: the sorted distinct labels of the file become
+/// the dense ids `0..n`, each label mapped to its rank, so the universe
+/// holds exactly the nodes that occur. Returns the stream over dense ids
+/// and `labels`, where `labels[i]` is the file's id for dense node `i`. A
+/// file whose ids are already `0..n`, each used, parses to those same ids.
+pub fn read_temporal<R: BufRead>(reader: R) -> Result<(TemporalGraph, Vec<u32>), IoError> {
     let mut events = Vec::new();
-    let mut max_node = 0u32;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -71,23 +81,31 @@ pub fn read_temporal<R: BufRead>(reader: R) -> Result<TemporalGraph, IoError> {
             Some(s) => s.parse().map_err(|_| parse_err())?,
             None => events.len() as u64,
         };
-        max_node = max_node.max(u).max(v);
         events.push(TimedEdge {
             u: NodeId(u),
             v: NodeId(v),
             time,
         });
     }
-    let n = if events.is_empty() {
-        0
-    } else {
-        max_node as usize + 1
+    let mut labels: Vec<u32> = events.iter().flat_map(|e| [e.u.0, e.v.0]).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    let rank = |label: NodeId| {
+        NodeId::new(
+            labels
+                .binary_search(&label.0)
+                .expect("every endpoint is labelled"),
+        )
     };
-    Ok(TemporalGraph::new(n, events))
+    for e in &mut events {
+        e.u = rank(e.u);
+        e.v = rank(e.v);
+    }
+    Ok((TemporalGraph::new(labels.len(), events), labels))
 }
 
-/// Reads a temporal edge list from a file path.
-pub fn read_temporal_file(path: impl AsRef<Path>) -> Result<TemporalGraph, IoError> {
+/// Reads a temporal edge list from a file path; see [`read_temporal`].
+pub fn read_temporal_file(path: impl AsRef<Path>) -> Result<(TemporalGraph, Vec<u32>), IoError> {
     let file = std::fs::File::open(path)?;
     read_temporal(std::io::BufReader::new(file))
 }
@@ -123,15 +141,33 @@ mod tests {
         );
         let mut buf = Vec::new();
         write_temporal(&t, &mut buf).unwrap();
-        let back = read_temporal(buf.as_slice()).unwrap();
+        let (back, labels) = read_temporal(buf.as_slice()).unwrap();
         assert_eq!(back.events(), t.events());
         assert_eq!(back.num_nodes(), 4);
+        assert_eq!(labels, vec![0, 1, 2, 3], "dense ids are their own labels");
+    }
+
+    #[test]
+    fn sparse_ids_are_compacted_in_order() {
+        let (t, labels) = read_temporal(
+            "4000000000 7
+"
+            .as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(t.num_nodes(), 2);
+        assert_eq!(labels, vec![7, 4_000_000_000]);
+        // Order-preserving: the larger label gets the larger dense id.
+        assert_eq!((t.events()[0].u, t.events()[0].v), (NodeId(1), NodeId(0)));
+        let (g1, _) = t.snapshot_pair(1.0, 1.0);
+        assert_eq!(g1.num_nodes(), 2);
+        assert_eq!(g1.num_edges(), 1);
     }
 
     #[test]
     fn comments_and_blank_lines_skipped() {
         let text = "# header\n\n% konect style\n0 1\n1 2 5\n";
-        let t = read_temporal(text.as_bytes()).unwrap();
+        let (t, _) = read_temporal(text.as_bytes()).unwrap();
         assert_eq!(t.num_events(), 2);
         // First line had implicit time 0, second explicit time 5.
         assert_eq!(t.events()[0].time, 0);
@@ -217,20 +253,33 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let t = read_temporal("".as_bytes()).unwrap();
+        let (t, labels) = read_temporal("".as_bytes()).unwrap();
         assert_eq!(t.num_nodes(), 0);
         assert_eq!(t.num_events(), 0);
+        assert!(labels.is_empty());
     }
 
     #[test]
     fn file_roundtrip() {
+        // Node 1 is isolated, so it drops out of the universe; the labels
+        // map the compacted ids back to the written ones.
         let t = TemporalGraph::from_sequence(3, vec![(NodeId(0), NodeId(2))]);
         let dir = std::env::temp_dir().join("cp_gen_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("edges.txt");
         write_temporal_file(&t, &path).unwrap();
-        let back = read_temporal_file(&path).unwrap();
-        assert_eq!(back.events(), t.events());
+        let (back, labels) = read_temporal_file(&path).unwrap();
+        assert_eq!(back.num_nodes(), 2);
+        let relabelled: Vec<TimedEdge> = back
+            .events()
+            .iter()
+            .map(|e| TimedEdge {
+                u: NodeId(labels[e.u.index()]),
+                v: NodeId(labels[e.v.index()]),
+                time: e.time,
+            })
+            .collect();
+        assert_eq!(relabelled, t.events());
         std::fs::remove_file(path).ok();
     }
 }

@@ -11,9 +11,9 @@
 //!   adjacency for a frontier parent — once the frontier's outgoing-edge sum
 //!   dominates the unexplored remainder. The frontier doubles as a `u64`-word
 //!   bitset in bottom-up mode so the parent test is one AND per probe.
-//! * [`bfs_scalar_into`] — the plain top-down kernel, kept as the reference
-//!   implementation for A/B runs (`CP_BFS_KERNEL=scalar`) and for the
-//!   kernel-equivalence property tests.
+//! * [`bfs_scalar_into`] — the plain top-down kernel, kept as the test
+//!   reference: the kernel-equivalence property tests and the conformance
+//!   suites compare every production row against it.
 //!
 //! Both kernels produce bit-identical distance rows: BFS levels are uniquely
 //! determined by the graph, so traversal direction never shows in the output.
@@ -22,8 +22,7 @@
 //! The implementation avoids per-call allocation via [`BfsWorkspace`] so
 //! that the cost model reflects graph traversal, not allocator churn.
 
-use crate::csr::GraphView;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::INF;
 
 /// Work performed by a traversal kernel, accumulated across calls.
@@ -32,7 +31,7 @@ use crate::INF;
 /// included); `relaxed` counts adjacency entries examined. Both are pure
 /// diagnostics: they never influence the distances a kernel produces, only
 /// report how much internal work producing them took — the number that
-/// separates kernels (and stores) the budget *ledger* cannot tell apart.
+/// separates kernels the budget *ledger* cannot tell apart.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalWork {
     /// Nodes whose distance was finalized.
@@ -95,8 +94,8 @@ impl BfsWorkspace {
 /// [`bfs_scalar_into`] — only the wall clock differs. Returns the
 /// traversal work the call took (settled nodes, examined adjacency
 /// entries).
-pub fn bfs_into<V: GraphView>(
-    graph: &V,
+pub fn bfs_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -169,10 +168,14 @@ pub fn bfs_into<V: GraphView>(
                 }
                 // Probe this unvisited node's adjacency for a frontier
                 // parent, counting every probe as one examined entry.
-                let has_parent = graph.any_neighbor(NodeId::new(v), |u| {
+                let mut has_parent = false;
+                for &u in graph.neighbors(NodeId::new(v)) {
                     work.relaxed += 1;
-                    front_bits[u.index() >> 6] & (1u64 << (u.index() & 63)) != 0
-                });
+                    if front_bits[u.index() >> 6] & (1u64 << (u.index() & 63)) != 0 {
+                        has_parent = true;
+                        break;
+                    }
+                }
                 if has_parent {
                     *d = level;
                     work.settled += 1;
@@ -187,7 +190,7 @@ pub fn bfs_into<V: GraphView>(
         } else {
             next.clear();
             for &u in frontier.iter() {
-                graph.for_each_neighbor(u, |v| {
+                for &v in graph.neighbors(u) {
                     work.relaxed += 1;
                     if dist[v.index()] == INF {
                         dist[v.index()] = level;
@@ -197,7 +200,7 @@ pub fn bfs_into<V: GraphView>(
                         frontier_edges += deg;
                         remaining_edges -= deg;
                     }
-                });
+                }
             }
             frontier_len = next.len();
             std::mem::swap(frontier, next);
@@ -208,25 +211,20 @@ pub fn bfs_into<V: GraphView>(
 
 /// The purely top-down level expansion over an already-seeded workspace
 /// frontier (shared by the small-graph path and [`bfs_scalar_into`]).
-fn top_down<V: GraphView>(
-    graph: &V,
-    dist: &mut [u32],
-    ws: &mut BfsWorkspace,
-    work: &mut TraversalWork,
-) {
+fn top_down(graph: &Graph, dist: &mut [u32], ws: &mut BfsWorkspace, work: &mut TraversalWork) {
     let BfsWorkspace { frontier, next, .. } = ws;
     let mut level: u32 = 0;
     while !frontier.is_empty() {
         level += 1;
         for &u in frontier.iter() {
-            graph.for_each_neighbor(u, |v| {
+            for &v in graph.neighbors(u) {
                 work.relaxed += 1;
                 if dist[v.index()] == INF {
                     dist[v.index()] = level;
                     work.settled += 1;
                     next.push(v);
                 }
-            });
+            }
         }
         std::mem::swap(frontier, next);
         next.clear();
@@ -234,11 +232,10 @@ fn top_down<V: GraphView>(
 }
 
 /// The scalar (always top-down) reference kernel. Same output as
-/// [`bfs_into`]; exists so A/B runs and equivalence tests can pin the
-/// pre-optimization behaviour (`CP_BFS_KERNEL=scalar`). Returns the
-/// traversal work the call took.
-pub fn bfs_scalar_into<V: GraphView>(
-    graph: &V,
+/// [`bfs_into`]; the equivalence and conformance tests check every
+/// production kernel against it. Returns the traversal work the call took.
+pub fn bfs_scalar_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -257,7 +254,7 @@ pub fn bfs_scalar_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`bfs_into`].
-pub fn bfs<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
+pub fn bfs(graph: &Graph, src: NodeId) -> Vec<u32> {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     bfs_into(graph, src, &mut dist, &mut ws);
@@ -269,8 +266,8 @@ pub fn bfs<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
 ///
 /// Distances beyond `max_depth` are left at [`INF`]. Bounded probes have
 /// small frontiers by construction, so this stays top-down.
-pub fn bfs_bounded_into<V: GraphView>(
-    graph: &V,
+pub fn bfs_bounded_into(
+    graph: &Graph,
     src: NodeId,
     max_depth: u32,
     dist: &mut Vec<u32>,
@@ -288,12 +285,12 @@ pub fn bfs_bounded_into<V: GraphView>(
     while !frontier.is_empty() && level < max_depth {
         level += 1;
         for &u in frontier.iter() {
-            graph.for_each_neighbor(u, |v| {
+            for &v in graph.neighbors(u) {
                 if dist[v.index()] == INF {
                     dist[v.index()] = level;
                     next.push(v);
                 }
-            });
+            }
         }
         std::mem::swap(frontier, next);
         next.clear();
@@ -303,7 +300,7 @@ pub fn bfs_bounded_into<V: GraphView>(
 /// Allocating convenience wrapper around [`bfs_bounded_into`]. Used by
 /// bounded neighborhood probes (e.g. the Selective Expansion variant of
 /// the Incidence baseline).
-pub fn bfs_bounded<V: GraphView>(graph: &V, src: NodeId, max_depth: u32) -> Vec<u32> {
+pub fn bfs_bounded(graph: &Graph, src: NodeId, max_depth: u32) -> Vec<u32> {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     bfs_bounded_into(graph, src, max_depth, &mut dist, &mut ws);
@@ -314,8 +311,8 @@ pub fn bfs_bounded<V: GraphView>(graph: &V, src: NodeId, max_depth: u32) -> Vec<
 /// distance, considering only reachable nodes, reusing the caller's row
 /// and workspace. Building block of the double-sweep diameter bound and
 /// the greedy dispersion selectors.
-pub fn farthest_node_into<V: GraphView>(
-    graph: &V,
+pub fn farthest_node_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -331,7 +328,7 @@ pub fn farthest_node_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`farthest_node_into`].
-pub fn farthest_node<V: GraphView>(graph: &V, src: NodeId) -> (NodeId, u32) {
+pub fn farthest_node(graph: &Graph, src: NodeId) -> (NodeId, u32) {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     farthest_node_into(graph, src, &mut dist, &mut ws)
@@ -339,8 +336,8 @@ pub fn farthest_node<V: GraphView>(graph: &V, src: NodeId) -> (NodeId, u32) {
 
 /// Computes the eccentricity of `src` (max finite distance from it),
 /// reusing the caller's row and workspace.
-pub fn eccentricity_into<V: GraphView>(
-    graph: &V,
+pub fn eccentricity_into(
+    graph: &Graph,
     src: NodeId,
     dist: &mut Vec<u32>,
     ws: &mut BfsWorkspace,
@@ -349,7 +346,7 @@ pub fn eccentricity_into<V: GraphView>(
 }
 
 /// Allocating convenience wrapper around [`eccentricity_into`].
-pub fn eccentricity<V: GraphView>(graph: &V, src: NodeId) -> u32 {
+pub fn eccentricity(graph: &Graph, src: NodeId) -> u32 {
     let mut dist = Vec::new();
     let mut ws = BfsWorkspace::new();
     eccentricity_into(graph, src, &mut dist, &mut ws)
@@ -359,7 +356,6 @@ pub fn eccentricity<V: GraphView>(graph: &V, src: NodeId) -> u32 {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::graph::Graph;
 
     fn path5() -> Graph {
         graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -6,8 +6,7 @@
 //! the full pipeline works on weighted inputs too.
 
 use crate::bfs::TraversalWork;
-use crate::csr::GraphView;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::INF;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,7 +17,7 @@ use std::collections::BinaryHeap;
 /// keeping total path weights below [`INF`] (the routine saturates instead
 /// of overflowing, so a saturated path is simply treated as unreachable-ish
 /// long but never wraps).
-pub fn dijkstra<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
+pub fn dijkstra(graph: &Graph, src: NodeId) -> Vec<u32> {
     let mut dist = vec![INF; graph.num_nodes()];
     dijkstra_into(graph, src, &mut dist);
     dist
@@ -27,7 +26,7 @@ pub fn dijkstra<V: GraphView>(graph: &V, src: NodeId) -> Vec<u32> {
 /// In-place variant of [`dijkstra`]; `dist` is resized and overwritten.
 /// Returns the traversal work the call took (settled nodes, relaxed
 /// edges).
-pub fn dijkstra_into<V: GraphView>(graph: &V, src: NodeId, dist: &mut Vec<u32>) -> TraversalWork {
+pub fn dijkstra_into(graph: &Graph, src: NodeId, dist: &mut Vec<u32>) -> TraversalWork {
     let mut work = TraversalWork::new();
     dist.clear();
     dist.resize(graph.num_nodes(), INF);
@@ -39,14 +38,14 @@ pub fn dijkstra_into<V: GraphView>(graph: &V, src: NodeId, dist: &mut Vec<u32>) 
             continue; // stale entry
         }
         work.settled += 1;
-        graph.for_each_neighbor_weighted(u, |v, w| {
+        for (v, e) in graph.neighbors_with_edge_ids(u) {
             work.relaxed += 1;
-            let nd = d.saturating_add(w).min(INF - 1);
+            let nd = d.saturating_add(graph.edge_weight(e)).min(INF - 1);
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
                 heap.push(Reverse((nd, v)));
             }
-        });
+        }
     }
     work
 }

@@ -218,19 +218,6 @@ impl Graph {
         2.0 * self.num_edges as f64 / (n * (n - 1.0))
     }
 
-    /// Heap bytes owned by the CSR arrays (`offsets`, `targets`,
-    /// `arc_edge`, `weights`). Baseline for the per-store memory stats
-    /// reported by the pipeline.
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.targets.len() * std::mem::size_of::<NodeId>()
-            + self.arc_edge.len() * std::mem::size_of::<u32>()
-            + self
-                .weights
-                .as_ref()
-                .map_or(0, |w| w.len() * std::mem::size_of::<u32>())
-    }
-
     /// Verifies internal invariants; used by tests and debug assertions.
     ///
     /// Checks: offsets are monotone, adjacency sorted and symmetric, arc

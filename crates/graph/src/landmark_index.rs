@@ -13,9 +13,8 @@
 //! SSSP work (see `cp-core`'s `estimate` module).
 
 use crate::bfs::{bfs_into, BfsWorkspace};
-use crate::csr::GraphView;
 use crate::dijkstra::dijkstra;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::INF;
 
 /// Precomputed landmark distance rows over one graph.
@@ -43,7 +42,7 @@ impl LandmarkIndex {
     /// Builds the index by running one SSSP per landmark (BFS or Dijkstra
     /// depending on the graph's weighting). Duplicated landmarks are kept
     /// once.
-    pub fn build<V: GraphView>(graph: &V, landmarks: &[NodeId]) -> Self {
+    pub fn build(graph: &Graph, landmarks: &[NodeId]) -> Self {
         let mut seen = std::collections::HashSet::new();
         let mut uniq = Vec::with_capacity(landmarks.len());
         for &w in landmarks {

@@ -20,8 +20,7 @@
 //! (one wave still *charges* one SSSP per source; see `cp-core`).
 
 use crate::bfs::TraversalWork;
-use crate::csr::GraphView;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId};
 use crate::INF;
 
 /// Maximum sources per wave: one bit per source in a `u64` word.
@@ -62,8 +61,8 @@ impl MsBfsWorkspace {
 ///
 /// # Panics
 /// Panics if `sources.len() > WAVE_WIDTH` or `rows.len() != sources.len()`.
-pub fn msbfs_into<V: GraphView>(
-    graph: &V,
+pub fn msbfs_into(
+    graph: &Graph,
     sources: &[NodeId],
     rows: &mut [Vec<u32>],
     ws: &mut MsBfsWorkspace,
@@ -114,7 +113,7 @@ pub fn msbfs_into<V: GraphView>(
         for &uf in frontier.iter() {
             let u = uf as usize;
             let vis = visit[u];
-            graph.for_each_neighbor(NodeId::new(u), |v| {
+            for &v in graph.neighbors(NodeId::new(u)) {
                 let v = v.index();
                 work.relaxed += 1;
                 let new = vis & !seen[v];
@@ -131,7 +130,7 @@ pub fn msbfs_into<V: GraphView>(
                         bits &= bits - 1;
                     }
                 }
-            });
+            }
         }
         // Roll the wave forward: retire this level's visit words, promote
         // the accumulated next words. A node can sit in both frontiers
@@ -153,7 +152,7 @@ pub fn msbfs_into<V: GraphView>(
 /// Allocating convenience wrapper: runs [`msbfs_into`] over `sources` in
 /// chunks of [`WAVE_WIDTH`], returning one distance row per source (any
 /// number of sources).
-pub fn msbfs<V: GraphView>(graph: &V, sources: &[NodeId]) -> Vec<Vec<u32>> {
+pub fn msbfs(graph: &Graph, sources: &[NodeId]) -> Vec<Vec<u32>> {
     let mut ws = MsBfsWorkspace::new();
     let mut rows: Vec<Vec<u32>> = (0..sources.len()).map(|_| Vec::new()).collect();
     for (chunk, out) in sources.chunks(WAVE_WIDTH).zip(rows.chunks_mut(WAVE_WIDTH)) {
@@ -167,7 +166,6 @@ mod tests {
     use super::*;
     use crate::bfs::bfs;
     use crate::builder::graph_from_edges;
-    use crate::graph::Graph;
 
     fn sample() -> Graph {
         graph_from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (6, 7)])

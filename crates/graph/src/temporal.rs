@@ -8,8 +8,6 @@
 //! the edges", §5.1).
 
 use crate::graph::{Graph, NodeId};
-use crate::overlay::OverlayGraph;
-use crate::repair::InsertedEdge;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -177,11 +175,6 @@ pub struct GraphAccumulator {
     edges: BTreeSet<(NodeId, NodeId)>,
     /// Per-node adjacency, kept sorted by target.
     adj: Vec<Vec<NodeId>>,
-    /// Accepted insertions in arrival order (normalized). Because the
-    /// stream is insert-only this log *is* the delta between any two
-    /// checkpoints, which backs the O(Δ) overlay cut of
-    /// [`Self::materialize_overlay`].
-    log: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphAccumulator {
@@ -191,7 +184,6 @@ impl GraphAccumulator {
             num_nodes,
             edges: BTreeSet::new(),
             adj: vec![Vec::new(); num_nodes],
-            log: Vec::new(),
         }
     }
 
@@ -244,43 +236,7 @@ impl GraphAccumulator {
         let slot = &mut self.adj[b.index()];
         let pos = slot.binary_search(&a).unwrap_err();
         slot.insert(pos, a);
-        self.log.push((a, b));
         true
-    }
-
-    /// Number of accepted insertions so far. Use the returned value as a
-    /// checkpoint `mark` for [`Self::edges_since`] /
-    /// [`Self::materialize_overlay`]; it always equals
-    /// [`Self::num_edges`] (the log holds accepted insertions only).
-    pub fn insertions(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The edges accepted since checkpoint `mark` (a prior
-    /// [`Self::insertions`] value), normalized, in arrival order.
-    pub fn edges_since(&self, mark: usize) -> &[(NodeId, NodeId)] {
-        &self.log[mark..]
-    }
-
-    /// Cuts the current edge set as an [`OverlayGraph`] over `base`, the
-    /// snapshot this accumulator materialized at checkpoint `mark`. Costs
-    /// O(Δ log Δ) — no CSR rebuild, no containment scan — because the
-    /// insert-only log *is* the delta.
-    ///
-    /// # Panics
-    /// Debug-asserts that `base` matches the checkpoint (same universe,
-    /// edge count consistent with the log suffix).
-    pub fn materialize_overlay<'g>(&self, base: &'g Graph, mark: usize) -> OverlayGraph<'g> {
-        debug_assert_eq!(base.num_nodes(), self.num_nodes, "universe mismatch");
-        debug_assert_eq!(
-            base.num_edges() + (self.log.len() - mark),
-            self.edges.len(),
-            "base is not the checkpoint-{mark} snapshot"
-        );
-        let mut inserted: Vec<InsertedEdge> =
-            self.log[mark..].iter().map(|&(a, b)| (a, b, 1)).collect();
-        inserted.sort_unstable();
-        OverlayGraph::from_delta(base, inserted, false)
     }
 
     /// Cuts the current edge set as a CSR snapshot.
@@ -386,20 +342,6 @@ impl PrefixCursor<'_> {
     /// Cuts the snapshot of everything consumed so far.
     pub fn materialize(&self) -> Graph {
         self.acc.materialize()
-    }
-
-    /// Number of accepted insertions so far; a checkpoint for
-    /// [`Self::materialize_overlay`].
-    pub fn insertions(&self) -> usize {
-        self.acc.insertions()
-    }
-
-    /// Cuts everything consumed so far as an [`OverlayGraph`] over `base`,
-    /// the snapshot this cursor materialized at checkpoint `mark` (a prior
-    /// [`Self::insertions`] value). O(Δ log Δ); see
-    /// [`GraphAccumulator::materialize_overlay`].
-    pub fn materialize_overlay<'g>(&self, base: &'g Graph, mark: usize) -> OverlayGraph<'g> {
-        self.acc.materialize_overlay(base, mark)
     }
 }
 
@@ -558,40 +500,6 @@ mod tests {
         let mut cursor = t.cursor();
         cursor.advance_to_prefix(4);
         cursor.advance_to_prefix(2);
-    }
-
-    #[test]
-    fn cursor_overlay_matches_materialized_snapshot() {
-        use crate::csr::GraphView;
-        let t = stream();
-        let mut cursor = t.cursor();
-        cursor.advance_to_prefix(2);
-        let g1 = cursor.materialize();
-        let mark = cursor.insertions();
-        cursor.advance_to_prefix(5);
-        let ov = cursor.materialize_overlay(&g1, mark);
-        let g2 = cursor.materialize();
-        assert_eq!(ov.num_edges(), g2.num_edges());
-        for u in g2.nodes() {
-            let mut nbrs = Vec::new();
-            ov.for_each_neighbor(u, |v| nbrs.push(v));
-            assert_eq!(nbrs.as_slice(), g2.neighbors(u), "node {u}");
-        }
-        // The O(Δ) overlay delta equals the O(E) containment scan.
-        let slow = crate::repair::snapshot_delta(&g1, &g2);
-        assert!(slow.growth_only);
-        assert_eq!(ov.to_delta().inserted, slow.inserted);
-    }
-
-    #[test]
-    fn accumulator_edges_since_checkpoint() {
-        let mut acc = GraphAccumulator::new(4);
-        acc.insert_edge(NodeId(0), NodeId(1));
-        let mark = acc.insertions();
-        assert_eq!(mark, 1);
-        acc.insert_edge(NodeId(1), NodeId(0)); // duplicate: not logged
-        acc.insert_edge(NodeId(2), NodeId(1)); // normalized to (1, 2)
-        assert_eq!(acc.edges_since(mark), &[(NodeId(1), NodeId(2))]);
     }
 
     #[test]

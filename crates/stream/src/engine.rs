@@ -3,10 +3,7 @@
 use crate::index::QueryIndex;
 use crate::subs::{PairTrack, StreamEvent, Watch, WatchId, WatchKind};
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{
-    BfsKernel, GraphStore, RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle,
-};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, RowHandoff, Snapshot, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult, PipelineStats};
 use cp_graph::temporal::GraphAccumulator;
@@ -38,8 +35,7 @@ pub enum ReviewPolicy {
 /// `seed + review_index`, so review *r*'s output is bit-identical to a
 /// from-scratch [`cp_core::topk::budgeted_top_k`] on the same snapshot
 /// pair. The `Option` knobs override the process-environment defaults
-/// (`CP_THREADS`, `CP_BFS_KERNEL`, `CP_SCAN_KERNEL`, `CP_ROW_CACHE`,
-/// `CP_GRAPH_STORE`) — `None` inherits them.
+/// (`CP_THREADS`, `CP_ROW_CACHE`) — `None` inherits them.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Candidate budget per review (`2m` SSSPs each).
@@ -54,18 +50,8 @@ pub struct StreamConfig {
     pub policy: ReviewPolicy,
     /// Worker threads (`None`: `CP_THREADS` / default).
     pub threads: Option<usize>,
-    /// Unweighted SSSP kernel (`None`: `CP_BFS_KERNEL` / default).
-    pub kernel: Option<BfsKernel>,
-    /// Δ-scan kernel (`None`: `CP_SCAN_KERNEL` / default).
-    pub scan_kernel: Option<ScanKernel>,
     /// Resident-row byte budget (`None`: `CP_ROW_CACHE` / default).
     pub row_cache: Option<RowCacheBudget>,
-    /// Snapshot storage layout per review (`None`: `CP_GRAPH_STORE` /
-    /// default). Under [`GraphStore::Overlay`] the engine hands each
-    /// review's oracle a `t2` overlay built straight from the insertion
-    /// log — `O(Δ)` memory and no `O(E)` delta rescan; the stream is
-    /// insert-only, so every review pair qualifies.
-    pub graph_store: Option<GraphStore>,
     /// Chain the row cache across reviews: step *t*'s resident `t2` rows
     /// become step *t+1*'s `t1` donors. Pure wall-clock optimization —
     /// ledger and results are bit-identical either way. Disabled
@@ -85,10 +71,7 @@ impl StreamConfig {
             seed,
             policy: ReviewPolicy::Manual,
             threads: None,
-            kernel: None,
-            scan_kernel: None,
             row_cache: None,
-            graph_store: None,
             chain_cache: true,
         }
     }
@@ -244,10 +227,6 @@ pub struct StreamEngine {
     /// Step *t*'s exported `t2` rows, pending import as step *t+1*'s `t1`
     /// donors.
     handoff: Option<RowHandoff>,
-    /// Insertion-log length at the last review cut: the log suffix past
-    /// this mark is exactly `E_t2 \ E_t1` of the next review, which is
-    /// what makes `O(Δ)` overlay construction possible.
-    review_mark: usize,
     history: HashMap<(NodeId, NodeId), PairTrack>,
     watches: Vec<Watch>,
     next_watch: u64,
@@ -301,13 +280,11 @@ impl StreamEngine {
             stats: StreamStats::default(),
             query: Arc::new(QueryIndex::empty(acc.num_nodes())),
         });
-        let review_mark = acc.insertions();
         StreamEngine {
             config,
             acc,
             current,
             handoff: None,
-            review_mark,
             history: HashMap::new(),
             watches: Vec::new(),
             next_watch: 0,
@@ -511,24 +488,8 @@ impl StreamEngine {
         if let Some(t) = self.config.threads {
             oracle.set_threads(t);
         }
-        if let Some(k) = self.config.kernel {
-            oracle.set_kernel(k);
-        }
-        if let Some(k) = self.config.scan_kernel {
-            oracle.set_scan_kernel(k);
-        }
         if let Some(b) = self.config.row_cache {
             oracle.set_row_cache(b);
-        }
-        let store = self.config.graph_store.unwrap_or_else(GraphStore::from_env);
-        if store == GraphStore::Overlay {
-            // The stream is insert-only, so the accumulator's log suffix
-            // since the last review *is* `E_t2 \ E_t1`: the overlay (and
-            // the repair delta it seeds) is built in O(Δ) — no second
-            // CSR, no O(E) containment rescan.
-            oracle.set_t2_overlay(self.acc.materialize_overlay(&g1, self.review_mark));
-        } else if self.config.graph_store.is_some() && store != oracle.graph_store() {
-            oracle.set_graph_store(store);
         }
         // Chain: the previous review's t2 rows are exact t1 rows here —
         // `g1` *is* the graph they were computed on. Pointless under
@@ -600,7 +561,6 @@ impl StreamEngine {
         });
         *self.shared.write() = Arc::clone(&snap);
         self.current = next;
-        self.review_mark = self.acc.insertions();
         self.pending = 0;
         self.ingest_secs = 0.0;
         self.interval_anchor = None;

@@ -2,13 +2,12 @@
 //! algorithm. Every review's visible output — pairs, candidate set, budget
 //! ledger — must be bit-identical to a from-scratch budgeted pipeline run
 //! on the same snapshot pair with the same seed, across the full knob
-//! matrix (BFS/scan kernels × threads × row-cache budgets), with
+//! matrix (threads × row-cache budgets), with
 //! review-to-review cache chaining on or off. Chaining, like the row cache
 //! it extends, is a pure wall-clock optimization.
 
 use cp_core::exact::TopKSpec;
-use cp_core::oracle::{BfsKernel, GraphStore, RowCacheBudget, SnapshotOracle};
-use cp_core::scan::ScanKernel;
+use cp_core::oracle::{RowCacheBudget, SnapshotOracle};
 use cp_core::selectors::SelectorKind;
 use cp_core::topk::{run_pipeline, BudgetedResult};
 use cp_gen::ba::barabasi_albert;
@@ -52,8 +51,6 @@ fn feed(engine: &mut StreamEngine, t: &TemporalGraph, from: usize, to: usize) {
 fn reference(g1: &Graph, g2: &Graph, cfg: &StreamConfig, review: u32) -> BudgetedResult {
     let mut oracle = SnapshotOracle::with_budget(g1, g2, 2 * cfg.m)
         .with_threads(cfg.threads.unwrap())
-        .with_kernel(cfg.kernel.unwrap())
-        .with_scan_kernel(cfg.scan_kernel.unwrap())
         .with_row_cache(cfg.row_cache.unwrap());
     let mut sel = cfg.selector.build(cfg.seed.wrapping_add(review as u64));
     run_pipeline(&mut oracle, sel.as_mut(), &cfg.spec)
@@ -81,9 +78,8 @@ fn assert_review_matches(got: &StreamSnapshot, want: &BudgetedResult, ctx: &str)
 }
 
 /// The full streaming matrix: every review of an engine run (chaining on)
-/// reproduces the from-scratch pipeline bit-for-bit under kernels
-/// {scalar, auto} × threads {1, 2, 8} × row-cache budgets {off, tiny,
-/// unbounded}.
+/// reproduces the from-scratch pipeline bit-for-bit under threads
+/// {1, 2, 8} × row-cache budgets {off, tiny, unbounded}.
 #[test]
 fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
     let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
@@ -92,37 +88,30 @@ fn engine_reviews_match_from_scratch_pipeline_across_the_matrix() {
         let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
         let tiny = RowCacheBudget::Bytes(3 * 4 * n);
         for threads in [1usize, 2, 8] {
-            for (kernel, scan) in [
-                (BfsKernel::Scalar, ScanKernel::Scalar),
-                (BfsKernel::Auto, ScanKernel::Auto),
-            ] {
-                for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
-                    let mut cfg = StreamConfig::new(
-                        8,
-                        SelectorKind::Mmsd { landmarks: 3 },
-                        TopKSpec::ThresholdFromMax { slack: 1 },
-                        3,
+            for cache in [RowCacheBudget::Bytes(0), tiny, RowCacheBudget::Unbounded] {
+                let mut cfg = StreamConfig::new(
+                    8,
+                    SelectorKind::Mmsd { landmarks: 3 },
+                    TopKSpec::ThresholdFromMax { slack: 1 },
+                    3,
+                );
+                cfg.threads = Some(threads);
+                cfg.row_cache = Some(cache);
+                let mut engine =
+                    StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
+                for w in cuts.windows(2) {
+                    let (f1, f2) = (prefix(w[0]), prefix(w[1]));
+                    let g1 = t.snapshot_of_prefix(f1);
+                    let g2 = t.snapshot_of_prefix(f2);
+                    feed(&mut engine, &t, f1, f2);
+                    let epoch = engine.review();
+                    assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
+                    let want = reference(&g1, &g2, &cfg, epoch.review);
+                    let ctx = format!(
+                        "{name}/review={}/threads={threads}/cache={cache:?}",
+                        epoch.review
                     );
-                    cfg.threads = Some(threads);
-                    cfg.kernel = Some(kernel);
-                    cfg.scan_kernel = Some(scan);
-                    cfg.row_cache = Some(cache);
-                    let mut engine =
-                        StreamEngine::from_snapshot(&t.snapshot_of_prefix(prefix(cuts[0])), cfg);
-                    for w in cuts.windows(2) {
-                        let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-                        let g1 = t.snapshot_of_prefix(f1);
-                        let g2 = t.snapshot_of_prefix(f2);
-                        feed(&mut engine, &t, f1, f2);
-                        let epoch = engine.review();
-                        assert_eq!(*epoch.graph, g2, "engine snapshot drifted");
-                        let want = reference(&g1, &g2, &cfg, epoch.review);
-                        let ctx = format!(
-                            "{name}/review={}/threads={threads}/{kernel:?}/cache={cache:?}",
-                            epoch.review
-                        );
-                        assert_review_matches(&epoch, &want, &ctx);
-                    }
+                    assert_review_matches(&epoch, &want, &ctx);
                 }
             }
         }
@@ -146,8 +135,6 @@ fn injected_pool_serves_every_review_without_respawning() {
             3,
         );
         cfg.threads = Some(4);
-        cfg.kernel = Some(BfsKernel::Auto);
-        cfg.scan_kernel = Some(ScanKernel::Auto);
         cfg.row_cache = Some(RowCacheBudget::Unbounded);
         let pool = Arc::new(cp_exec::Executor::new(4));
         let start = t.snapshot_of_prefix(prefix(cuts[0]));
@@ -240,57 +227,6 @@ fn chaining_never_changes_visible_output_and_actually_fires() {
     assert!(
         chain_fired,
         "no review ever used a chained donor — the A/B comparison is vacuous"
-    );
-}
-
-/// Overlay-backed reviews: an engine pinned to the overlay store builds
-/// each review's `G_t2` as base CSR + the insertion-log suffix since the
-/// last cut — an O(Δ) path with no containment rescan — and every epoch
-/// is bit-identical to the full-store engine's, with the overlay actually
-/// sharing the base's arcs.
-#[test]
-fn overlay_backed_reviews_match_full_store_reviews() {
-    let mut shared_somewhere = false;
-    for (name, t) in generator_cases() {
-        let prefix = |f: f64| ((f * t.num_events() as f64).ceil() as usize).min(t.num_events());
-        let cuts = [0.6, 0.7, 0.8, 0.9, 1.0];
-        let base = StreamConfig::new(
-            10,
-            SelectorKind::Mmsd { landmarks: 3 },
-            TopKSpec::ThresholdFromMax { slack: 1 },
-            7,
-        );
-        let mut full_cfg = base;
-        full_cfg.graph_store = Some(GraphStore::Full);
-        let mut overlay_cfg = base;
-        overlay_cfg.graph_store = Some(GraphStore::Overlay);
-        let start = t.snapshot_of_prefix(prefix(cuts[0]));
-        let mut full = StreamEngine::from_snapshot(&start, full_cfg);
-        let mut overlay = StreamEngine::from_snapshot(&start, overlay_cfg);
-        for w in cuts.windows(2) {
-            let (f1, f2) = (prefix(w[0]), prefix(w[1]));
-            feed(&mut full, &t, f1, f2);
-            feed(&mut overlay, &t, f1, f2);
-            let a = full.review();
-            let b = overlay.review();
-            let ctx = format!("{name}/review={}", a.review);
-            assert_eq!(a.result.pairs, b.result.pairs, "pairs diverge: {ctx}");
-            assert_eq!(
-                a.result.candidates, b.result.candidates,
-                "candidates diverge: {ctx}"
-            );
-            assert_eq!(a.result.budget, b.result.budget, "ledger diverges: {ctx}");
-            assert_eq!(
-                b.result.stats.graph_store,
-                GraphStore::Overlay,
-                "store not recorded: {ctx}"
-            );
-            shared_somewhere |= b.result.stats.graph_mem.overlay_shared_arcs > 0;
-        }
-    }
-    assert!(
-        shared_somewhere,
-        "no overlay-backed review ever shared a base arc — the overlay never built"
     );
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Reads a temporal edge list (`u v [time]` per line, `#`/`%` comments),
 //! cuts two snapshots, and prints the top converging pairs found under an
-//! SSSP budget — or exactly, with `--exact`.
+//! SSSP budget — or exactly, with `--exact`. Pairs are printed with the
+//! file's own node ids, however sparse.
 //!
 //! ```text
 //! converging-pairs graph.txt --t1 0.8 --t2 1.0 --m 100 --selector mmsd
@@ -32,6 +33,7 @@ usage: converging-pairs <edge-list> [options]
 
 input: one edge per line, `u v [time]`; without the time column the line
 order is the insertion order. Lines starting with # or % are skipped.
+Node ids may be any u32 labels; the output uses the same labels.
 
 options:
   --t1 F           first snapshot: fraction of the edge stream  [0.8]
@@ -144,8 +146,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let temporal = match read_temporal_file(&args.path) {
-        Ok(t) => t,
+    let (temporal, labels) = match read_temporal_file(&args.path) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: cannot read {}: {e}", args.path);
             return ExitCode::from(1);
@@ -202,7 +204,8 @@ fn main() -> ExitCode {
 
     println!("u\tv\tdelta");
     for p in &pairs {
-        println!("{}\t{}\t{}", p.pair.0, p.pair.1, p.delta);
+        let (u, v) = (labels[p.pair.0.index()], labels[p.pair.1.index()]);
+        println!("{u}\t{v}\t{}", p.delta);
     }
     ExitCode::SUCCESS
 }

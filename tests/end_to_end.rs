@@ -174,7 +174,10 @@ fn temporal_io_roundtrip_preserves_experiment() {
     let t = DatasetProfile::scaled(DatasetKind::Dblp, 0.03).generate(11);
     let mut buf = Vec::new();
     write_temporal(&t, &mut buf).unwrap();
-    let back = read_temporal(buf.as_slice()).unwrap();
+    let (back, labels) = read_temporal(buf.as_slice()).unwrap();
+    // Dense ids that all occur parse to themselves.
+    assert_eq!(back.num_nodes(), t.num_nodes());
+    assert!(labels.iter().enumerate().all(|(i, &l)| l as usize == i));
     let (a1, a2) = t.snapshot_pair(0.8, 1.0);
     let (b1, b2) = back.snapshot_pair(0.8, 1.0);
     let ea = exact_top_k(&a1, &a2, &TopKSpec::ThresholdFromMax { slack: 1 }, 2);
