@@ -25,13 +25,24 @@ use cp_graph::{Graph, NodeId};
 
 /// The endpoints of the new edges between the snapshots, ascending.
 pub fn active_nodes(g1: &Graph, g2: &Graph) -> Vec<NodeId> {
-    let mut active: Vec<NodeId> = TemporalGraph::new_edges_between(g1, g2)
-        .into_iter()
-        .flat_map(|(u, v)| [u, v])
-        .collect();
-    active.sort_unstable();
-    active.dedup();
-    active
+    endpoints(&TemporalGraph::new_edges_between(g1, g2))
+}
+
+/// The distinct endpoints of `edges`, ascending.
+fn endpoints(edges: &[(NodeId, NodeId)]) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
+/// Rounds `x` to 32 mantissa bits. Scores that are equal in real
+/// arithmetic (symmetric nodes) but apart in their last `f64` bits then
+/// tie, and the tie goes to the smaller node id instead of to rounding
+/// noise.
+fn round_to_32_bits(x: f64) -> f64 {
+    const DROP: u32 = 52 - 32;
+    f64::from_bits((x.to_bits() + (1 << (DROP - 1))) & !((1 << DROP) - 1))
 }
 
 /// How the budgeted Incidence variants rank the active nodes.
@@ -76,30 +87,38 @@ impl IncidenceSelector {
         self
     }
 
-    fn scores(&self, g1: &Graph, g2: &Graph, active: &[NodeId]) -> Vec<f64> {
+    fn scores(
+        &self,
+        g1: &Graph,
+        g2: &Graph,
+        new_edges: &[(NodeId, NodeId)],
+        active: &[NodeId],
+    ) -> Vec<f64> {
         match self.ranking {
             IncidenceRanking::DegreeDiff => active
                 .iter()
                 .map(|&u| (g2.degree(u) as f64) - (g1.degree(u) as f64))
                 .collect(),
             IncidenceRanking::Betweenness => {
+                let ids: Vec<u32> = new_edges
+                    .iter()
+                    .map(|&(u, v)| {
+                        g2.edge_id(u, v)
+                            .expect("new edge must exist in the second snapshot")
+                    })
+                    .collect();
                 let bt = match self.betweenness_pivots {
-                    None => betweenness_exact(g2, self.threads),
+                    None => betweenness_exact(g2, &ids, self.threads),
                     Some(p) => {
                         // Deterministic evenly spaced pivots.
                         let n = g2.num_nodes();
                         let p = p.min(n).max(1);
                         let pivots: Vec<NodeId> = (0..p).map(|i| NodeId::new(i * n / p)).collect();
-                        betweenness_sampled(g2, &pivots, self.threads)
+                        betweenness_sampled(g2, &pivots, &ids, self.threads)
                     }
                 };
-                let new_edges = TemporalGraph::new_edges_between(g1, g2);
                 let mut importance = vec![0.0f64; g2.num_nodes()];
-                for (u, v) in new_edges {
-                    let e = g2
-                        .edge_id(u, v)
-                        .expect("new edge must exist in the second snapshot");
-                    let score = bt.edge[e as usize];
+                for (&(u, v), score) in new_edges.iter().zip(bt) {
                     importance[u.index()] += score;
                     importance[v.index()] += score;
                 }
@@ -119,8 +138,14 @@ impl CandidateSelector for IncidenceSelector {
     }
 
     fn rank(&mut self, oracle: &mut SnapshotOracle<'_>) -> Vec<NodeId> {
-        let active = active_nodes(oracle.g1(), oracle.g2());
-        let scores = self.scores(oracle.g1(), oracle.g2(), &active);
+        let (g1, g2) = (oracle.g1(), oracle.g2());
+        let new_edges = TemporalGraph::new_edges_between(g1, g2);
+        let active = endpoints(&new_edges);
+        let scores: Vec<f64> = self
+            .scores(g1, g2, &new_edges, &active)
+            .into_iter()
+            .map(round_to_32_bits)
+            .collect();
         let mut order: Vec<usize> = (0..active.len()).collect();
         order.sort_by(|&a, &b| {
             scores[b]
@@ -181,14 +206,15 @@ pub fn selective_expansion(
     max_rounds: usize,
 ) -> SelectiveExpansion {
     let threads = cp_graph::apsp::default_threads();
-    let bt = betweenness_exact(g2, threads);
+    let all_edges: Vec<u32> = (0..g2.num_edges() as u32).collect();
+    let bt = betweenness_exact(g2, &all_edges, threads);
     // Precomputed once: the ranking below would otherwise re-sum a node's
     // incident edge scores on every sort comparison (O(deg) per probe).
     let importance: Vec<f64> = g2
         .nodes()
         .map(|u| {
             g2.neighbors_with_edge_ids(u)
-                .map(|(_, e)| bt.edge[e as usize])
+                .map(|(_, e)| bt[e as usize])
                 .sum()
         })
         .collect();

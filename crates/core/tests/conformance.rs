@@ -27,6 +27,7 @@ use cp_core::selectors::{
     IncidenceSelector, SelectorKind,
 };
 use cp_core::topk::{run_pipeline, BudgetedResult};
+use cp_core::CandidateSelector;
 use cp_gen::affiliation::{affiliation, AffiliationParams};
 use cp_gen::ba::barabasi_albert;
 use cp_gen::core_tendril::{core_tendril, CoreTendrilParams};
@@ -267,11 +268,10 @@ fn every_shipped_selector_is_invariant_across_the_matrix() {
     }
 }
 
-/// IncBet's thread axis, kept visible rather than dropped: exact Brandes
-/// merges per-lane `f64` accumulators in work-stealing order, so its
-/// ranking (and with it the candidate set) can depend on the thread count.
+/// IncBet's thread axis: Brandes sums fixed source blocks in block order,
+/// so its ranking (and with it the candidate set) is the same at any
+/// thread count.
 #[test]
-#[ignore = "ROADMAP item 3: Brandes merges per-lane f64 sums under work stealing"]
 fn incbet_is_invariant_across_threads() {
     let spec = TopKSpec::ThresholdFromMax { slack: 1 };
     for (name, t) in generator_cases() {
@@ -289,6 +289,32 @@ fn incbet_is_invariant_across_threads() {
                 let ctx = format!("{name}/IncBet/m={m}/{}", cfg.describe());
                 assert_cell_matches(&got, &first, &g1, &g2, &spec, cfg, &ctx);
             }
+        }
+    }
+}
+
+/// IncBet's full ranking is identical at threads {1, 2, 8} on the
+/// emulators whose scores once diverged across thread counts (from scale
+/// 0.1 up).
+#[test]
+fn incbet_ranking_is_invariant_across_threads_on_emulators() {
+    use cp_gen::datasets::{DatasetKind, DatasetProfile};
+    for kind in [DatasetKind::InternetLinks, DatasetKind::Dblp] {
+        let t = DatasetProfile::scaled(kind, 0.1).generate(1);
+        let (g1, g2) = t.snapshot_pair(0.8, 1.0);
+        let rank = |threads| {
+            let mut oracle = SnapshotOracle::unbounded(&g1, &g2);
+            IncidenceSelector::new(IncidenceRanking::Betweenness)
+                .with_threads(threads)
+                .rank(&mut oracle)
+        };
+        let single = rank(1);
+        for threads in [2, 8] {
+            assert!(
+                single == rank(threads),
+                "{}: {threads} threads",
+                kind.name()
+            );
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Brandes betweenness centrality (node and edge), exact and pivot-sampled.
+//! Brandes edge betweenness, exact and pivot-sampled, for requested edges.
 //!
 //! The Incidence baseline of Papadimitriou et al. ranks active nodes by the
 //! *importance* of their new edges — an estimate of edge betweenness. The
@@ -7,217 +7,217 @@
 //! the pivot-sampled variant is provided for larger graphs and for the
 //! baseline's original shortest-path-tree-sampling spirit.
 //!
-//! Unweighted graphs only (BFS-based Brandes), which matches every use in
-//! the paper's evaluation.
+//! Distances come in bit-parallel waves ([`msbfs_into`]). Each source's
+//! nodes are bucketed by level, and σ and the dependencies are *pulled*
+//! over CSR through a mask that is non-zero only on the adjacent level, so
+//! every neighbour scan is a branch-free gather-sum. The exact variant
+//! folds degree-1 vertices (Sariyüce et al., SDM 2013): a leaf `l` whose
+//! neighbour `p` has degree > 1 sees every edge but `{l, p}` as `p` does, so
+//! it is no source and `p` counts `1 + #leaves(p)` times, while `{l, p}`
+//! carries `|component| − 1` pairs. Sources are cut into a fixed number of
+//! blocks, summed in block order, so scores are bit-identical at any pool
+//! width. Unweighted graphs only, as in the paper's evaluation.
 
+use crate::components::components;
 use crate::graph::{Graph, NodeId};
+use crate::msbfs::{msbfs_into, MsBfsWorkspace, WAVE_WIDTH};
+use crate::INF;
 
-/// Node and edge betweenness scores of one graph.
-///
-/// Scores are *unnormalized* sums over unordered source/target pairs, i.e.
-/// each pair `{s, t}` contributes its dependency once (the directed Brandes
-/// accumulation is halved). Sampled scores are scaled by `n / |pivots|` so
-/// they estimate the exact ones.
-#[derive(Clone, Debug)]
-pub struct Betweenness {
-    /// Per-node betweenness, indexed by node id.
-    pub node: Vec<f64>,
-    /// Per-edge betweenness, indexed by undirected edge id.
-    pub edge: Vec<f64>,
-}
+/// Source blocks per call; fixed, so the summation order is too.
+const BLOCKS: usize = 32;
 
-struct BrandesWorkspace {
-    dist: Vec<i32>,
-    sigma: Vec<f64>,
-    delta: Vec<f64>,
-    order: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
-}
-
-impl BrandesWorkspace {
-    fn new(n: usize) -> Self {
-        BrandesWorkspace {
-            dist: vec![-1; n],
-            sigma: vec![0.0; n],
-            delta: vec![0.0; n],
-            order: Vec::with_capacity(n),
-            frontier: Vec::new(),
-            next: Vec::new(),
+/// Exact betweenness of the requested edge ids, in request order: sums
+/// over unordered source/target pairs, each pair `{s, t}` contributing its
+/// dependency once.
+pub fn betweenness_exact(graph: &Graph, edges: &[u32], threads: usize) -> Vec<f64> {
+    let degree = |v: NodeId| graph.degree(v);
+    let folded = |v: NodeId| degree(v) == 1 && degree(graph.neighbors(v)[0]) > 1;
+    // Halved: each unordered pair is reached from both of its ends.
+    let mut weight = vec![0.5; graph.num_nodes()];
+    for v in graph.nodes().filter(|&v| folded(v)) {
+        weight[graph.neighbors(v)[0].index()] += 0.5;
+    }
+    let sources: Vec<NodeId> = graph
+        .nodes()
+        .filter(|&v| degree(v) > 0 && !folded(v))
+        .collect();
+    let ends = requested_ends(graph, edges);
+    let mut scores = run_brandes(graph, &sources, &weight, &ends, threads);
+    let is_leaf_edge = |&(u, v): &(NodeId, NodeId)| degree(u) == 1 || degree(v) == 1;
+    let comps = components(graph);
+    for (score, uv) in scores.iter_mut().zip(&ends) {
+        if is_leaf_edge(uv) {
+            *score = (comps.sizes[comps.label(uv.0) as usize] - 1) as f64;
         }
     }
-
-    /// One Brandes accumulation from source `s` into `acc_node`/`acc_edge`.
-    fn accumulate(&mut self, graph: &Graph, s: NodeId, acc_node: &mut [f64], acc_edge: &mut [f64]) {
-        let ws = self;
-        // Reset only the touched entries from the previous run.
-        for &u in &ws.order {
-            ws.dist[u.index()] = -1;
-            ws.sigma[u.index()] = 0.0;
-            ws.delta[u.index()] = 0.0;
-        }
-        ws.dist[s.index()] = -1; // in case s was untouched before
-        ws.sigma[s.index()] = 0.0;
-        ws.delta[s.index()] = 0.0;
-        ws.order.clear();
-        ws.frontier.clear();
-        ws.next.clear();
-
-        ws.dist[s.index()] = 0;
-        ws.sigma[s.index()] = 1.0;
-        ws.frontier.push(s);
-        let mut level = 0i32;
-        while !ws.frontier.is_empty() {
-            level += 1;
-            for &u in &ws.frontier {
-                ws.order.push(u);
-            }
-            for i in (ws.order.len() - ws.frontier.len())..ws.order.len() {
-                let u = ws.order[i];
-                let su = ws.sigma[u.index()];
-                for &v in graph.neighbors(u) {
-                    if ws.dist[v.index()] < 0 {
-                        ws.dist[v.index()] = level;
-                        ws.next.push(v);
-                    }
-                    if ws.dist[v.index()] == level {
-                        ws.sigma[v.index()] += su;
-                    }
-                }
-            }
-            std::mem::swap(&mut ws.frontier, &mut ws.next);
-            ws.next.clear();
-        }
-        // Dependency accumulation in reverse BFS order.
-        for &w in ws.order.iter().rev() {
-            let dw = ws.dist[w.index()];
-            let coeff = (1.0 + ws.delta[w.index()]) / ws.sigma[w.index()];
-            for (v, e) in graph.neighbors_with_edge_ids(w) {
-                // v is a predecessor of w iff dist[v] == dist[w] - 1.
-                if ws.dist[v.index()] == dw - 1 {
-                    let c = ws.sigma[v.index()] * coeff;
-                    ws.delta[v.index()] += c;
-                    acc_edge[e as usize] += c;
-                }
-            }
-            if w != s {
-                acc_node[w.index()] += ws.delta[w.index()];
-            }
-        }
-    }
+    scores
 }
 
-/// Per-worker persistent Brandes scratch: the traversal workspace and
-/// the private accumulation vectors live across batches in the
-/// executor's [`cp_exec::WorkerScratch`]. The accumulators are drained
-/// (merged and zeroed) at the end of every batch, so entries left from
-/// an earlier graph only ever need resizing, never clearing.
-struct BrandesScratch {
-    ws: BrandesWorkspace,
-    acc_node: Vec<f64>,
-    acc_edge: Vec<f64>,
+/// Pivot-sampled betweenness of the requested edge ids: accumulates from
+/// the given pivots (no folding) and scales by `n / |pivots|` to estimate
+/// the exact scores.
+pub fn betweenness_sampled(
+    g: &Graph,
+    pivots: &[NodeId],
+    edges: &[u32],
+    threads: usize,
+) -> Vec<f64> {
+    let weight = 0.5 * g.num_nodes() as f64 / pivots.len().max(1) as f64;
+    let ends = requested_ends(g, edges);
+    run_brandes(g, pivots, &vec![weight; g.num_nodes()], &ends, threads)
 }
 
-impl BrandesScratch {
-    fn sized(&mut self, n: usize, m: usize) -> &mut Self {
-        if self.ws.dist.len() != n {
-            self.ws = BrandesWorkspace::new(n);
-        }
-        self.acc_node.clear();
-        self.acc_node.resize(n, 0.0);
-        self.acc_edge.clear();
-        self.acc_edge.resize(m, 0.0);
-        self
-    }
+fn requested_ends(graph: &Graph, edges: &[u32]) -> Vec<(NodeId, NodeId)> {
+    let table = graph.edge_endpoints_vec();
+    edges.iter().map(|&e| table[e as usize]).collect()
 }
 
-fn run_brandes(graph: &Graph, pivots: &[NodeId], threads: usize, scale: f64) -> Betweenness {
+/// Sums `weight[s] ×` the directed dependencies of every source `s` on
+/// every requested edge.
+fn run_brandes(
+    graph: &Graph,
+    sources: &[NodeId],
+    weight: &[f64],
+    ends: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Vec<f64> {
     assert!(
         !graph.is_weighted(),
         "betweenness supports unweighted graphs only"
     );
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    let threads = threads.max(1).min(pivots.len().max(1));
-    let mut node = vec![0.0; n];
-    let mut edge = vec![0.0; m];
-    if threads == 1 {
-        let mut ws = BrandesWorkspace::new(n);
-        for &p in pivots {
-            ws.accumulate(graph, p, &mut node, &mut edge);
+    let waves = sources.len().div_ceil(WAVE_WIDTH);
+    let blocks = BLOCKS.min(waves);
+    let mut partials: Vec<Vec<f64>> = vec![Vec::new(); blocks];
+    cp_exec::global().run_collect(
+        &mut partials,
+        threads,
+        |k, acc, ctx| {
+            let scratch = ctx.scratch.get_or(BrandesScratch::default);
+            acc.resize(ends.len(), 0.0);
+            let first = k * waves / blocks * WAVE_WIDTH;
+            let last = ((k + 1) * waves / blocks * WAVE_WIDTH).min(sources.len());
+            for start in (first..last).step_by(WAVE_WIDTH) {
+                let wave = &sources[start..(start + WAVE_WIDTH).min(last)];
+                scratch.wave(graph, wave, weight, ends, acc);
+            }
+        },
+        // A wave of rows is 64 × n words per lane: release it with the
+        // call rather than let it sit under every later peak.
+        |_lane, scratch| {
+            if let Some(s) = scratch.get_if::<BrandesScratch>() {
+                *s = BrandesScratch::default();
+            }
+        },
+    );
+    let mut scores = vec![0.0; ends.len()];
+    for partial in &partials {
+        for (score, x) in scores.iter_mut().zip(partial) {
+            *score += x;
         }
-    } else {
-        let mut slots = vec![(); pivots.len()];
-        cp_exec::global().run_collect(
-            &mut slots,
-            threads,
-            |i, _slot, ctx| {
-                let scratch = ctx.scratch.get_or(|| BrandesScratch {
-                    ws: BrandesWorkspace::new(n),
-                    acc_node: vec![0.0; n],
-                    acc_edge: vec![0.0; m],
-                });
-                if scratch.ws.dist.len() != n
-                    || scratch.acc_node.len() != n
-                    || scratch.acc_edge.len() != m
-                {
-                    scratch.sized(n, m);
-                }
-                let BrandesScratch {
-                    ws,
-                    acc_node,
-                    acc_edge,
-                } = scratch;
-                ws.accumulate(graph, pivots[i], acc_node, acc_edge);
-            },
-            |_w, scratch| {
-                // Merge per-worker accumulators in worker order, then
-                // zero them so the next batch starts clean.
-                if let Some(s) = scratch.get_if::<BrandesScratch>() {
-                    if s.acc_node.len() == n && s.acc_edge.len() == m {
-                        for (dst, src) in node.iter_mut().zip(&s.acc_node) {
-                            *dst += src;
-                        }
-                        for (dst, src) in edge.iter_mut().zip(&s.acc_edge) {
-                            *dst += src;
-                        }
-                        s.acc_node.iter_mut().for_each(|v| *v = 0.0);
-                        s.acc_edge.iter_mut().for_each(|v| *v = 0.0);
-                    }
-                }
-            },
-        );
     }
-    // Undirected: each unordered pair was counted from both endpoints when
-    // iterating all sources; for pivot samples the halving still yields an
-    // unbiased estimator of the unordered-pair score.
-    let factor = 0.5 * scale;
-    for v in node.iter_mut() {
-        *v *= factor;
-    }
-    for v in edge.iter_mut() {
-        *v *= factor;
-    }
-    Betweenness { node, edge }
+    scores
 }
 
-/// Exact Brandes betweenness over all sources.
-pub fn betweenness_exact(graph: &Graph, threads: usize) -> Betweenness {
-    let pivots: Vec<NodeId> = graph.nodes().collect();
-    run_brandes(graph, &pivots, threads, 1.0)
+/// Per-worker Brandes scratch, kept in the executor's
+/// [`cp_exec::WorkerScratch`]: one wave of distance rows plus O(n) arrays.
+#[derive(Default)]
+struct BrandesScratch {
+    bfs: MsBfsWorkspace,
+    rows: Vec<Vec<u32>>,
+    /// The reached nodes of one source, bucketed by level.
+    order: Vec<u32>,
+    /// Level `d` is `order[starts[d]..starts[d + 1]]`; one empty level last.
+    starts: Vec<u32>,
+    sigma: Vec<f64>,
+    /// `(1 + δ[v]) / σ[v]`: the dependency a child passes up per path.
+    coef: Vec<f64>,
+    /// σ (forward) or `coef` (backward) on one level, zero elsewhere.
+    mask: Vec<f64>,
 }
 
-/// Pivot-sampled Brandes betweenness: accumulates from the given pivots and
-/// scales by `n / |pivots|` to estimate the exact scores.
-pub fn betweenness_sampled(graph: &Graph, pivots: &[NodeId], threads: usize) -> Betweenness {
-    if pivots.is_empty() {
-        return Betweenness {
-            node: vec![0.0; graph.num_nodes()],
-            edge: vec![0.0; graph.num_edges()],
+impl BrandesScratch {
+    /// Accumulates one wave of sources into `acc` (one entry per `ends`).
+    fn wave(
+        &mut self,
+        g: &Graph,
+        sources: &[NodeId],
+        weight: &[f64],
+        ends: &[(NodeId, NodeId)],
+        acc: &mut [f64],
+    ) {
+        let n = g.num_nodes();
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.resize_with(sources.len(), Vec::new);
+        msbfs_into(g, sources, &mut rows, &mut self.bfs);
+        if self.mask.len() != n {
+            (self.sigma, self.coef, self.mask) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        }
+        let (offsets, targets) = (g.arc_offsets(), g.arc_targets());
+        let gather = |v: usize, mask: &[f64]| -> f64 {
+            let mut sum = 0.0;
+            for u in &targets[offsets[v]..offsets[v + 1]] {
+                sum += mask[u.0 as usize];
+            }
+            sum
         };
+        for (dist, s) in rows.iter().zip(sources) {
+            bucket_by_level(dist, &mut self.order, &mut self.starts);
+            let (sigma, coef, mask) = (&mut self.sigma, &mut self.coef, &mut self.mask);
+            let (order, starts) = (&self.order, &self.starts);
+            let level = |d: usize| {
+                order[starts[d] as usize..starts[d + 1] as usize]
+                    .iter()
+                    .map(|&v| v as usize)
+            };
+            let levels = starts.len() - 2;
+            sigma[s.index()] = 1.0;
+            for d in 1..levels {
+                level(d - 1).for_each(|u| mask[u] = sigma[u]);
+                level(d).for_each(|v| sigma[v] = gather(v, mask));
+                level(d - 1).for_each(|u| mask[u] = 0.0);
+            }
+            for d in (1..levels).rev() {
+                level(d + 1).for_each(|w| mask[w] = coef[w]);
+                level(d).for_each(|v| coef[v] = (1.0 + sigma[v] * gather(v, mask)) / sigma[v]);
+                level(d + 1).for_each(|w| mask[w] = 0.0);
+            }
+            let w = weight[s.index()];
+            for (x, &(a, b)) in acc.iter_mut().zip(ends) {
+                let (a, b) = (a.index(), b.index());
+                if dist[b] == dist[a].wrapping_add(1) {
+                    *x += w * (sigma[a] * coef[b]);
+                } else if dist[a] == dist[b].wrapping_add(1) {
+                    *x += w * (sigma[b] * coef[a]);
+                }
+            }
+        }
+        self.rows = rows;
     }
-    let scale = graph.num_nodes() as f64 / pivots.len() as f64;
-    run_brandes(graph, pivots, threads, scale)
+}
+
+/// Counting-sorts the reached nodes of `dist` by level into `order`, with
+/// level `d` at `order[starts[d]..starts[d + 1]]` and one empty level last.
+fn bucket_by_level(dist: &[u32], order: &mut Vec<u32>, starts: &mut Vec<u32>) {
+    // Counts at `d + 2`; after the prefix sum `starts[d + 1]` is level `d`'s
+    // first slot, and placing advances it to the level's end.
+    starts.clear();
+    for &d in dist.iter().filter(|&&d| d != INF) {
+        let i = d as usize + 2;
+        if i >= starts.len() {
+            starts.resize(i + 1, 0);
+        }
+        starts[i] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    order.clear();
+    order.resize(starts[starts.len() - 1] as usize, 0);
+    for (v, &d) in dist.iter().enumerate().filter(|(_, &d)| d != INF) {
+        let slot = &mut starts[d as usize + 1];
+        order[*slot as usize] = v as u32;
+        *slot += 1;
+    }
 }
 
 #[cfg(test)]
@@ -229,15 +229,29 @@ mod tests {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");
     }
 
+    fn all_edges(g: &Graph) -> Vec<u32> {
+        (0..g.num_edges() as u32).collect()
+    }
+
+    /// Edge scores keyed by endpoints.
+    fn score(g: &Graph, scores: &[f64], u: u32, v: u32) -> f64 {
+        scores[g.edge_id(NodeId(u), NodeId(v)).unwrap() as usize]
+    }
+
     #[test]
     fn path_graph_node_betweenness() {
-        // Path 0-1-2-3: node 1 lies on pairs {0,2},{0,3}; node 2 on {0,3},{1,3}.
+        // A node's incident edge scores sum to twice its node betweenness
+        // plus one per other node of its component. Path 0-1-2-3: node 1
+        // lies on pairs {0,2},{0,3}; node 2 on {0,3},{1,3}.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let b = betweenness_exact(&g, 2);
-        assert_close(b.node[0], 0.0);
-        assert_close(b.node[1], 2.0);
-        assert_close(b.node[2], 2.0);
-        assert_close(b.node[3], 0.0);
+        let b = betweenness_exact(&g, &all_edges(&g), 2);
+        for (v, node) in [0.0, 2.0, 2.0, 0.0].into_iter().enumerate() {
+            let incident: f64 = g
+                .neighbors_with_edge_ids(NodeId::new(v))
+                .map(|(_, e)| b[e as usize])
+                .sum();
+            assert_close(incident, 2.0 * node + 3.0);
+        }
     }
 
     #[test]
@@ -245,70 +259,72 @@ mod tests {
         // Edge {0,1} carries pairs {0,1},{0,2},{0,3} = 3; middle edge {1,2}
         // carries {0,2},{0,3},{1,2},{1,3} = 4.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let b = betweenness_exact(&g, 1);
-        let e01 = g.edge_id(NodeId(0), NodeId(1)).unwrap() as usize;
-        let e12 = g.edge_id(NodeId(1), NodeId(2)).unwrap() as usize;
-        let e23 = g.edge_id(NodeId(2), NodeId(3)).unwrap() as usize;
-        assert_close(b.edge[e01], 3.0);
-        assert_close(b.edge[e12], 4.0);
-        assert_close(b.edge[e23], 3.0);
+        let b = betweenness_exact(&g, &all_edges(&g), 1);
+        assert_close(score(&g, &b, 0, 1), 3.0);
+        assert_close(score(&g, &b, 1, 2), 4.0);
+        assert_close(score(&g, &b, 2, 3), 3.0);
+        // A requested subset, in request order, gets the same scores.
+        let middle = g.edge_id(NodeId(1), NodeId(2)).unwrap();
+        let first = g.edge_id(NodeId(0), NodeId(1)).unwrap();
+        let sub = betweenness_exact(&g, &[middle, first, middle], 2);
+        assert_eq!(sub, vec![4.0, 3.0, 4.0]);
     }
 
     #[test]
     fn star_center_has_all_betweenness() {
+        // Every spoke carries its leaf's 4 pairs (1 to the centre + 3
+        // leaves); every leaf is folded into the centre.
         let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let b = betweenness_exact(&g, 2);
-        // Center lies on all C(4,2) = 6 leaf pairs.
-        assert_close(b.node[0], 6.0);
-        for leaf in 1..5 {
-            assert_close(b.node[leaf], 0.0);
-        }
-        // Each spoke edge carries its leaf's 4 pairs (1 to center + 3 leaves).
-        for e in 0..4 {
-            assert_close(b.edge[e], 4.0);
+        let b = betweenness_exact(&g, &all_edges(&g), 2);
+        assert_eq!(b, vec![4.0; 4]);
+        let pivots: Vec<NodeId> = g.nodes().collect();
+        let sampled = betweenness_sampled(&g, &pivots, &all_edges(&g), 2);
+        for x in sampled {
+            assert_close(x, 4.0);
         }
     }
 
     #[test]
     fn even_split_on_square() {
-        // 4-cycle: two shortest paths between opposite corners, each through
-        // a distinct intermediate -> each intermediate gets 1/2 per pair.
+        // 4-cycle: each edge carries its own pair plus half of each of the
+        // two opposite-corner pairs it can route.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let b = betweenness_exact(&g, 2);
-        for v in 0..4 {
-            assert_close(b.node[v], 0.5);
+        let b = betweenness_exact(&g, &all_edges(&g), 2);
+        for x in b {
+            assert_close(x, 2.0);
         }
     }
 
     #[test]
     fn full_sample_equals_exact() {
         let g = graph_from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)]);
-        let exact = betweenness_exact(&g, 2);
+        let exact = betweenness_exact(&g, &all_edges(&g), 2);
         let pivots: Vec<NodeId> = g.nodes().collect();
-        let sampled = betweenness_sampled(&g, &pivots, 2);
-        for i in 0..g.num_nodes() {
-            assert_close(exact.node[i], sampled.node[i]);
-        }
-        for e in 0..g.num_edges() {
-            assert_close(exact.edge[e], sampled.edge[e]);
+        let sampled = betweenness_sampled(&g, &pivots, &all_edges(&g), 2);
+        for (a, b) in exact.iter().zip(&sampled) {
+            assert_close(*a, *b);
         }
     }
 
     #[test]
     fn empty_pivot_sample() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
-        let b = betweenness_sampled(&g, &[], 2);
-        assert!(b.node.iter().all(|&x| x == 0.0));
-        assert!(b.edge.iter().all(|&x| x == 0.0));
+        assert_eq!(
+            betweenness_sampled(&g, &[], &all_edges(&g), 2),
+            vec![0.0; 2]
+        );
+        assert!(betweenness_exact(&g, &[], 2).is_empty());
     }
 
     #[test]
     fn disconnected_components_independent() {
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let b = betweenness_exact(&g, 2);
-        assert_close(b.node[1], 1.0);
-        assert_close(b.node[4], 1.0);
-        assert_close(b.node[0], 0.0);
-        assert_close(b.node[3], 0.0);
+        // Two paths, a K2 and an isolated node: each edge only sees its
+        // own component.
+        let g = graph_from_edges(9, &[(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)]);
+        let b = betweenness_exact(&g, &all_edges(&g), 2);
+        for (u, v) in [(0, 1), (1, 2), (3, 4), (4, 5)] {
+            assert_close(score(&g, &b, u, v), 2.0);
+        }
+        assert_close(score(&g, &b, 6, 7), 1.0);
     }
 }

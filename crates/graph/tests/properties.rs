@@ -171,62 +171,87 @@ proptest! {
     }
 }
 
-/// Brute-force node betweenness by enumerating shortest paths via BFS
-/// layers (exponential in the worst case, fine at test sizes).
-fn brute_betweenness(g: &cp_graph::Graph) -> Vec<f64> {
+/// Brute-force edge betweenness, indexed by edge id: for every connected
+/// unordered pair `{s, t}`, count the shortest paths through each edge
+/// `(a, b)` as `σ_sa · σ_bt / σ_st` (oriented either way), from per-node
+/// BFS path counts.
+fn brute_edge_betweenness(g: &cp_graph::Graph) -> Vec<f64> {
     let n = g.num_nodes();
-    let mut score = vec![0.0f64; n];
-    // For every ordered pair (s, t), count shortest paths through each node.
-    for s in 0..n {
-        let ds = bfs(g, NodeId::new(s));
-        for t in 0..n {
-            if t == s || ds[t] == INF {
-                continue;
-            }
-            // sigma[v]: number of shortest s->v paths, via BFS order DP.
+    let rows: Vec<Vec<u32>> = (0..n).map(|s| bfs(g, NodeId::new(s))).collect();
+    // sigma[s][v]: number of shortest s->v paths, by BFS-level DP.
+    let sigma: Vec<Vec<f64>> = rows
+        .iter()
+        .enumerate()
+        .map(|(s, ds)| {
             let mut order: Vec<usize> = (0..n).filter(|&v| ds[v] != INF).collect();
             order.sort_by_key(|&v| ds[v]);
             let mut sigma = vec![0.0f64; n];
             sigma[s] = 1.0;
-            for &v in &order {
-                if v == s {
-                    continue;
-                }
+            for &v in order.iter().skip(1) {
                 for &w in g.neighbors(NodeId::new(v)) {
                     if ds[w.index()] + 1 == ds[v] {
                         sigma[v] += sigma[w.index()];
                     }
                 }
             }
-            // paths through x: sigma_sx * sigma_xt / sigma_st, for x interior.
-            let dt = bfs(g, NodeId::new(t));
-            let mut sigma_t = vec![0.0f64; n];
-            sigma_t[t] = 1.0;
-            let mut order_t: Vec<usize> = (0..n).filter(|&v| dt[v] != INF).collect();
-            order_t.sort_by_key(|&v| dt[v]);
-            for &v in &order_t {
-                if v == t {
-                    continue;
-                }
-                for &w in g.neighbors(NodeId::new(v)) {
-                    if dt[w.index()] + 1 == dt[v] {
-                        sigma_t[v] += sigma_t[w.index()];
-                    }
-                }
+            sigma
+        })
+        .collect();
+    let ends = g.edge_endpoints_vec();
+    let mut score = vec![0.0f64; g.num_edges()];
+    for s in 0..n {
+        for t in (s + 1)..n {
+            let d = rows[s][t];
+            if d == INF {
+                continue;
             }
-            for x in 0..n {
-                if x == s || x == t {
-                    continue;
-                }
-                if ds[x] != INF && dt[x] != INF && ds[x] + dt[x] == ds[t] {
-                    score[x] += sigma[x] * sigma_t[x] / sigma[t];
+            for (e, &(a, b)) in ends.iter().enumerate() {
+                for (x, y) in [(a.index(), b.index()), (b.index(), a.index())] {
+                    if rows[s][x] != INF && rows[t][y] != INF && rows[s][x] + 1 + rows[t][y] == d {
+                        score[e] += sigma[s][x] * sigma[t][y] / sigma[s][t];
+                    }
                 }
             }
         }
     }
-    // Ordered pairs counted both directions; halve to match unordered.
-    score.iter_mut().for_each(|v| *v *= 0.5);
     score
+}
+
+/// Strategy: a random forest (node `i` hangs off a random earlier node or
+/// starts a new tree) plus a few extra edges, K2 components and isolated
+/// nodes — pendant vertices, stars, trees and leaves whose parent also has
+/// degree 1 all occur routinely.
+fn forest_like() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (2usize..14, 0usize..3, 0usize..3).prop_flat_map(|(tree, k2, isolated)| {
+        // A draw of 850 or more starts a new tree.
+        let parents = prop::collection::vec(0u32..1000, tree - 1);
+        let extra = prop::collection::vec((0..tree as u32, 0..tree as u32), 0..3);
+        (parents, extra).prop_map(move |(parents, extra)| {
+            let mut edges = extra;
+            for (i, p) in parents.into_iter().enumerate() {
+                let child = i as u32 + 1;
+                if p < 850 {
+                    edges.push((p % child, child));
+                }
+            }
+            for k in 0..k2 as u32 {
+                edges.push((tree as u32 + 2 * k, tree as u32 + 2 * k + 1));
+            }
+            (tree + 2 * k2 + isolated, edges)
+        })
+    })
+}
+
+/// `fast` matches `expected` within `1e-9` relative (absolute below 1).
+fn assert_close_rel(fast: f64, expected: f64, what: &str) -> Result<(), TestCaseError> {
+    prop_assert!(
+        (fast - expected).abs() <= 1e-9 * expected.abs().max(1.0),
+        "{}: kernel {} vs brute force {}",
+        what,
+        fast,
+        expected
+    );
+    Ok(())
 }
 
 proptest! {
@@ -236,16 +261,38 @@ proptest! {
     fn brandes_matches_brute_force((n, edges) in edge_list(10, 20)) {
         use cp_graph::betweenness::betweenness_exact;
         let g = graph_from_edges(n, &edges);
-        let fast = betweenness_exact(&g, 2);
-        let brute = brute_betweenness(&g);
-        for (v, &expected) in brute.iter().enumerate() {
-            prop_assert!(
-                (fast.node[v] - expected).abs() < 1e-6,
-                "node {}: brandes {} vs brute {}",
-                v,
-                fast.node[v],
-                expected
-            );
+        let all: Vec<u32> = (0..g.num_edges() as u32).collect();
+        let fast = betweenness_exact(&g, &all, 2);
+        let brute = brute_edge_betweenness(&g);
+        for (e, (&f, &b)) in fast.iter().zip(&brute).enumerate() {
+            assert_close_rel(f, b, &format!("edge {e}"))?;
+        }
+    }
+
+    #[test]
+    fn requested_subsets_match_brute_force_on_forests(
+        (n, edges) in forest_like(),
+        picks in prop::collection::vec(0usize..1000, 0..12),
+    ) {
+        use cp_graph::betweenness::{betweenness_exact, betweenness_sampled};
+        let g = graph_from_edges(n, &edges);
+        let brute = brute_edge_betweenness(&g);
+        let m = g.num_edges().max(1);
+        let requested: Vec<u32> = picks
+            .iter()
+            .map(|&p| (p % m) as u32)
+            .filter(|&e| (e as usize) < g.num_edges())
+            .collect();
+        let fast = betweenness_exact(&g, &requested, 2);
+        prop_assert_eq!(fast.len(), requested.len());
+        for (&e, &f) in requested.iter().zip(&fast) {
+            assert_close_rel(f, brute[e as usize], &format!("exact edge {e}"))?;
+        }
+        // Unfolded, unit-weight sampling over every node is exact too.
+        let pivots: Vec<NodeId> = g.nodes().collect();
+        let sampled = betweenness_sampled(&g, &pivots, &requested, 2);
+        for (&e, &f) in requested.iter().zip(&sampled) {
+            assert_close_rel(f, brute[e as usize], &format!("sampled edge {e}"))?;
         }
     }
 
@@ -256,8 +303,9 @@ proptest! {
         // length in edge traversals, split across tied paths).
         use cp_graph::betweenness::betweenness_exact;
         let g = graph_from_edges(n, &edges);
-        let fast = betweenness_exact(&g, 2);
-        let edge_total: f64 = fast.edge.iter().sum();
+        let all: Vec<u32> = (0..g.num_edges() as u32).collect();
+        let fast = betweenness_exact(&g, &all, 2);
+        let edge_total: f64 = fast.iter().sum();
         let mut distance_total = 0.0f64;
         for u in 0..n {
             let d = bfs(&g, NodeId::new(u));
@@ -303,6 +351,32 @@ proptest! {
                 b.add_edge(e.u, e.v);
             }
             prop_assert_eq!(cursor.materialize(), b.build(), "prefix {}", count);
+        }
+    }
+}
+
+/// Edge scores are bit-identical at every pool width on the emulators
+/// where per-lane merging once made them diverge.
+#[test]
+fn betweenness_is_bitwise_invariant_across_threads() {
+    use cp_gen::datasets::{DatasetKind, DatasetProfile};
+    use cp_graph::betweenness::betweenness_exact;
+    for kind in [DatasetKind::InternetLinks, DatasetKind::Dblp] {
+        let g = DatasetProfile::scaled(kind, 0.1)
+            .generate(1)
+            .snapshot_at_fraction(1.0);
+        let all: Vec<u32> = (0..g.num_edges() as u32).collect();
+        let bits = |threads| -> Vec<u64> {
+            let scores = betweenness_exact(&g, &all, threads);
+            scores.iter().map(|x| x.to_bits()).collect()
+        };
+        let single = bits(1);
+        for threads in [2, 8] {
+            assert!(
+                single == bits(threads),
+                "{}: {threads} threads",
+                kind.name()
+            );
         }
     }
 }

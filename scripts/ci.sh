@@ -34,8 +34,8 @@ cargo test -q -p cp-query
 echo "==> cargo test -q [CP_THREADS=8]"
 # Matrix leg: a wide persistent pool under every conformance suite —
 # the executor's work-stealing schedule must be invisible in every
-# result.
-CP_THREADS=8 cargo test -q -p cp-core -p cp-stream
+# result, the Brandes edge scores' last bits included (cp-graph).
+CP_THREADS=8 cargo test -q -p cp-graph -p cp-core -p cp-stream
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
